@@ -28,9 +28,12 @@
 //! [`crate::PreparedKernel::score_edits`], against the shared
 //! [`sd_emd::SignatureCache`]) and `λ` is
 //! [`BudgetOptimizerConfig::distortion_weight`]. It buys the affordable
-//! candidate with the best gain-per-dollar (ties broken toward the lower
-//! series index), skips candidates it cannot afford, and stops when no
-//! affordable candidate has positive gain. The
+//! candidate with the best gain-per-dollar, skips candidates it cannot
+//! afford, and stops when no affordable candidate has positive gain.
+//! Ties go to the earlier position in the still-unbought list. That list
+//! starts in series order, but each purchase fills its slot with the
+//! list's last candidate, so after the first purchase a tie can go to a
+//! higher series index. The
 //! [`SelectionPolicy::DirtiestFirst`] baseline is the paper's §5.2
 //! ordering under the same prices; [`SelectionPolicy::Random`] is the
 //! uninformed control.
@@ -51,6 +54,18 @@
 //! budget, so greedy's adaptive marginal scoring runs once per
 //! `(replication, strategy)` rather than once per budget; at the maximum
 //! budget the walk reproduces the planned purchases exactly.
+//!
+//! A greedy plan is one sequential chain of purchases, but within a step
+//! the candidate scores are independent. So the planner fans each step's
+//! sweep out over [`ExperimentConfig::threads`] workers
+//! ([`crate::parallel_map`]), and the budget units blocked on the plan's
+//! `OnceLock` no longer leave their cores idle. The choice of purchase
+//! stays one sequential pass over the scores, in candidate order. Under
+//! [`TransportMode::Cold`] every score is solved from a fresh basis, so
+//! the frontier is bit-identical at every thread count.
+//! [`TransportMode::Warm`] keeps the sweep serial: its warm chain depends
+//! on the order of the solves. The reference oracle
+//! ([`budget_optimize_reference`]) is serial too.
 //!
 //! Unlike the cost sweep's per-fraction mask-matched fits, candidate
 //! repairs are scored against the replication-level imputation model
@@ -74,6 +89,7 @@ use crate::experiment::ReplicationArtifacts;
 use crate::{
     Experiment, ExperimentConfig, FrameworkError, MetricScore, Result, ThreadPoolExecutor,
 };
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sd_cleaning::{CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit};
@@ -557,13 +573,21 @@ fn merge_edits(a: &[(usize, Vec<f64>)], b: &[(usize, Vec<f64>)]) -> Vec<(usize, 
 /// ([`crate::PreparedKernel::score_edits`]), the reference path
 /// materializes; both are bit-identical by the kernel contract, so the
 /// greedy decisions cannot diverge between paths.
+///
+/// Each greedy step scores its affordable candidates over `threads`
+/// workers ([`crate::parallel_map`]; `0` = all cores), then picks the
+/// purchase in one sequential pass over the scores in `remaining` order.
+/// The fan-out is invisible in the result only if `score_union` is a pure
+/// function of its edit set: a scorer whose value depends on call order
+/// (a warm transport chain) must be given `threads = 1`.
 fn plan_trajectory(
     candidates: &[Candidate],
     policy: SelectionPolicy,
     order: &[usize],
     distortion_weight: f64,
     max_budget: f64,
-    mut score_union: impl FnMut(Vec<(usize, Vec<f64>)>) -> Result<f64>,
+    threads: usize,
+    score_union: impl Fn(Vec<(usize, Vec<f64>)>) -> Result<f64> + Sync,
 ) -> Result<Vec<usize>> {
     if policy != SelectionPolicy::Greedy {
         // The baseline order is budget-independent; affordability is
@@ -577,17 +601,27 @@ fn plan_trajectory(
     let mut selected_edits: Vec<(usize, Vec<f64>)> = Vec::new();
     let mut current_d = score_union(selected_edits.clone())?;
     loop {
-        // Best affordable candidate by marginal gain per dollar, compared
-        // by cross-multiplication so zero prices and negative gains order
-        // correctly; strict `>` keeps ties on the earlier (lower-index)
-        // candidate.
+        // The sweep: every affordable candidate's union with the current
+        // selection, scored concurrently. Each worker merges its own edit
+        // set, so the sets are never all materialized at once.
+        let affordable: Vec<usize> = (0..remaining.len())
+            .filter(|&pos| spent + candidates[remaining[pos]].price <= max_budget)
+            .collect();
+        let scores = crate::parallel_map(affordable.len(), threads, |k| {
+            let cand = &candidates[remaining[affordable[k]]];
+            score_union(merge_edits(&selected_edits, &cand.row_edits))
+        });
+        // The choice: best affordable candidate by marginal gain per
+        // dollar, compared by cross-multiplication so zero prices and
+        // negative gains order correctly. Strict `>` keeps a tie on the
+        // earlier *position* in `remaining` — which is not the lower
+        // series index once a purchase's `swap_remove` has moved the last
+        // candidate into its slot. The first scoring error in position
+        // order wins, as if the candidates had been scored one by one.
         let mut best: Option<(usize, f64, f64)> = None; // (position, gain, d_after)
-        for (pos, &c) in remaining.iter().enumerate() {
-            let cand = &candidates[c];
-            if spent + cand.price > max_budget {
-                continue;
-            }
-            let d_after = score_union(merge_edits(&selected_edits, &cand.row_edits))?;
+        for (&pos, d_after) in affordable.iter().zip(scores) {
+            let cand = &candidates[remaining[pos]];
+            let d_after = d_after?;
             let gain = cand.delta_improvement - distortion_weight * (d_after - current_d);
             let better = match best {
                 None => true,
@@ -686,6 +720,11 @@ pub fn budget_optimize(
 }
 
 /// Like [`budget_optimize`], on a caller-supplied executor.
+///
+/// The executor schedules the `(replication, strategy, budget)` units;
+/// `config.experiment.threads` separately bounds each greedy plan's
+/// candidate sweep (see the module docs). The two nest: a unit that plans
+/// fans its sweep out beside the executor's other workers.
 pub fn budget_optimize_with<E: TaskExecutor>(
     data: &Dataset,
     config: &BudgetOptimizerConfig,
@@ -750,22 +789,32 @@ pub fn budget_optimize_with<E: TaskExecutor>(
                         &order,
                         config.distortion_weight,
                         max_budget,
+                        config.experiment.threads,
                         |edits| primary.score_edits(&opt.shared.cache, edits),
                     ),
                     // The plan runs once per strategy (under the
-                    // `OnceLock`), sequentially, so one checked-out batch
+                    // `OnceLock`) on one thread, so one checked-out batch
                     // arena sees the whole candidate sweep in a
                     // deterministic order — exactly the shape warm starts
                     // want: same dirty signature, same support, perturbed
-                    // cleaned masses.
+                    // cleaned masses. The mutex only satisfies the
+                    // scorer's `Sync` bound; it is never contended.
                     TransportMode::Warm => opt.shared.cache.with_transport(|batch| {
+                        let batch = Mutex::new(batch);
                         plan_trajectory(
                             &candidates,
                             config.policy,
                             &order,
                             config.distortion_weight,
                             max_budget,
-                            |edits| primary.score_edits_with(&opt.shared.cache, edits, batch),
+                            1,
+                            |edits| {
+                                primary.score_edits_with(
+                                    &opt.shared.cache,
+                                    edits,
+                                    &mut batch.lock(),
+                                )
+                            },
                         )
                     }),
                 }?;
@@ -907,6 +956,7 @@ pub fn budget_optimize_reference(
                     &order,
                     config.distortion_weight,
                     max_budget,
+                    1,
                     |edits| kernels[0].score_rows(&base_rows, &apply_edits(&base_rows, &edits)),
                 )?;
                 for &budget in &config.budgets {
@@ -1201,6 +1251,124 @@ mod tests {
             assert_eq!(a.spent.to_bits(), b.spent.to_bits());
             assert_eq!(a.improvement.to_bits(), b.improvement.to_bits());
             assert_eq!(a.distortion.to_bits(), b.distortion.to_bits());
+        }
+    }
+
+    fn assert_frontiers_bit_identical(a: &[FrontierPoint], b: &[FrontierPoint], context: &str) {
+        assert_eq!(a.len(), b.len(), "{context}");
+        for (x, y) in a.iter().zip(b) {
+            let at = format!(
+                "{context} at r={} s={} b={}",
+                x.replication, x.strategy_index, x.budget
+            );
+            assert_eq!(x.budget.to_bits(), y.budget.to_bits(), "{at}");
+            assert_eq!(x.replication, y.replication, "{at}");
+            assert_eq!(x.strategy_index, y.strategy_index, "{at}");
+            assert_eq!(x.series_cleaned, y.series_cleaned, "{at}");
+            assert_eq!(x.spent.to_bits(), y.spent.to_bits(), "{at}");
+            assert_eq!(x.improvement.to_bits(), y.improvement.to_bits(), "{at}");
+            assert_eq!(x.distortions.len(), y.distortions.len(), "{at}");
+            for (p, q) in x.distortions.iter().zip(&y.distortions) {
+                assert_eq!(p.metric, q.metric, "{at}");
+                assert_eq!(p.value.to_bits(), q.value.to_bits(), "{} {at}", p.metric);
+            }
+            assert_eq!(x.treated_report, y.treated_report, "{at}");
+        }
+    }
+
+    #[test]
+    fn frontiers_are_bit_identical_to_reference_at_every_sweep_thread_count() {
+        // `experiment.threads` fans out each greedy step's candidate
+        // sweep, nested inside whatever executor schedules the units.
+        // Neither may move a bit of the frontier.
+        let data = data();
+        let mut config = optimizer_config(SelectionPolicy::Greedy);
+        config.experiment.metrics = crate::DistortionMetric::full_suite();
+        config.strategies = vec![paper_strategy(1), paper_strategy(3)];
+        config.distortion_weight = 0.3;
+        let reference = budget_optimize_reference(&data, &config).unwrap();
+        for threads in [1, 2, 4] {
+            config.experiment.threads = threads;
+            let serial = budget_optimize_with(&data, &config, &SerialExecutor).unwrap();
+            assert_frontiers_bit_identical(
+                &reference,
+                &serial,
+                &format!("threads={threads}, serial executor"),
+            );
+            let pooled = budget_optimize_with(&data, &config, &ThreadPoolExecutor::new(2)).unwrap();
+            assert_frontiers_bit_identical(
+                &reference,
+                &pooled,
+                &format!("threads={threads}, 2-worker executor"),
+            );
+        }
+    }
+
+    /// A candidate whose repair is one edit to its own row, so a synthetic
+    /// scorer can tell which candidates an edit set contains.
+    fn synthetic_candidate(series: usize, price: f64, delta_improvement: f64) -> Candidate {
+        Candidate {
+            series,
+            price,
+            delta_improvement,
+            row_edits: vec![(series, vec![series as f64])],
+            treated: GlitchMatrix::new(1, 1),
+        }
+    }
+
+    #[test]
+    fn greedy_ties_go_to_the_earlier_position_not_the_lower_series() {
+        // Candidate 0 is bought first; its `swap_remove` moves candidate 3
+        // into position 0, ahead of the tied candidates 1 and 2.
+        let candidates = vec![
+            synthetic_candidate(0, 1.0, 2.0),
+            synthetic_candidate(1, 1.0, 1.0),
+            synthetic_candidate(2, 1.0, 1.0),
+            synthetic_candidate(3, 1.0, 1.0),
+        ];
+        for threads in [1, 4] {
+            let steps = plan_trajectory(
+                &candidates,
+                SelectionPolicy::Greedy,
+                &[],
+                0.5,
+                10.0,
+                threads,
+                |edits| Ok(edits.len() as f64),
+            )
+            .unwrap();
+            assert_eq!(steps, vec![0, 3, 2, 1], "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn plan_returns_the_earlier_candidates_error_at_any_thread_count() {
+        let candidates: Vec<Candidate> = (0..6).map(|i| synthetic_candidate(i, 1.0, 1.0)).collect();
+        for threads in [1, 4] {
+            let err = plan_trajectory(
+                &candidates,
+                SelectionPolicy::Greedy,
+                &[],
+                0.0,
+                10.0,
+                threads,
+                |edits| match edits.iter().find(|(row, _)| *row == 1 || *row == 4) {
+                    Some(&(row, _)) => {
+                        if row == 1 {
+                            // Finish last, so a first-to-fail rule would
+                            // report candidate 4 under the fan-out.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                        }
+                        Err(FrameworkError::Distortion(format!("candidate {row}")))
+                    }
+                    None => Ok(0.0),
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, FrameworkError::Distortion(m) if m == "candidate 1"),
+                "threads={threads}: {err:?}"
+            );
         }
     }
 
