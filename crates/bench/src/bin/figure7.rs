@@ -8,7 +8,7 @@
 
 use sd_bench::{mean_sd, shape_check, HarnessConfig};
 use sd_cleaning::paper_strategy;
-use sd_core::{cost_sweep, CostSweepConfig, ExperimentConfig, TransportMode};
+use sd_core::{cost_sweep, CostSweepConfig, ExperimentConfig};
 
 fn main() {
     let harness = HarnessConfig::from_env();
@@ -33,7 +33,6 @@ fn main() {
             experiment,
             fractions: fractions.clone(),
             strategies: vec![paper_strategy(1)],
-            transport: TransportMode::Cold,
         };
         let points = cost_sweep(&data, &config).expect("cost sweep");
 

@@ -134,18 +134,14 @@ fn main() {
         record("sinkhorn", size, us);
     }
 
-    // Warm-started batch transport: S = 5 solves against one fixed dirty
-    // signature (shared supply + ground costs) whose cleaned-side masses
-    // drift incrementally — the shape of one replication's batch and of
-    // the budget optimizer's greedy candidate sweep, where consecutive
-    // instances differ by one candidate's sparse edits.
-    // `batch_emd_cold` solves each instance from a fresh
-    // north-west-corner basis on a reused arena (allocation amortized —
-    // the engine's default path); `batch_emd` chains them through one
-    // `BatchTransport`, warm-starting every solve after the first from
-    // the previous optimum's repaired basis. Both rows are µs per
-    // transport, so their ratio is the warm-start speedup per
-    // replication-shaped batch.
+    // Batch transport on the reused cold arena: S = 5 solves against one
+    // fixed dirty signature (shared supply + ground costs) whose
+    // cleaned-side masses drift incrementally — the shape of one
+    // replication's batch and of the budget optimizer's greedy candidate
+    // sweep, where consecutive instances differ by one candidate's sparse
+    // edits. `batch_emd_cold` solves each instance from a fresh
+    // north-west-corner basis on one `BatchTransport` (allocation
+    // amortized — the engine's only transport path), in µs per transport.
     {
         let s_count = 5usize;
         let size = 128usize;
@@ -170,23 +166,6 @@ fn main() {
                 d[b] += slice;
             }
         }
-        let mut warm_arena = BatchTransport::new();
-        let us = measure(
-            iters,
-            || (),
-            |()| {
-                warm_arena.reset_chain();
-                let mut acc = 0.0;
-                for d in &demands {
-                    acc += require(
-                        warm_arena.solve(black_box(&supply), black_box(d), black_box(&cost)),
-                        "warm batch solve",
-                    );
-                }
-                acc
-            },
-        ) / s_count as f64;
-        record("batch_emd", size, us);
         let mut cold_arena = BatchTransport::new();
         let us = measure(
             iters,
@@ -408,26 +387,17 @@ fn main() {
             experiment: sweep_experiment,
             fractions: vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0],
             strategies: vec![paper_strategy(1), paper_strategy(2)],
-            transport: TransportMode::Cold,
         };
         let units = (reps * sweep.strategies.len() * sweep.fractions.len()) as f64;
-        let run_sweep = |cfg: &CostSweepConfig| {
-            let points = cost_sweep(black_box(&data), cfg).unwrap();
-            points.len() as f64
-        };
-        let us = measure(iters, || (), |()| run_sweep(&sweep)) / units;
+        let us = measure(
+            iters,
+            || (),
+            |()| {
+                let points = cost_sweep(black_box(&data), &sweep).unwrap();
+                points.len() as f64
+            },
+        ) / units;
         record("cost_sweep", config.sample_size, us);
-        // Same sweep with each strategy's fraction ladder chained on one
-        // warm transport arena (`TransportMode::Warm`): consecutive
-        // fractions re-optimize the previous optimum's basis instead of
-        // solving from a fresh north-west corner, and the ratio to the
-        // `cost_sweep` row above is the warm-chain speedup per point.
-        let warm_sweep = CostSweepConfig {
-            transport: TransportMode::Warm,
-            ..sweep.clone()
-        };
-        let us = measure(iters, || (), |()| run_sweep(&warm_sweep)) / units;
-        record("cost_sweep_warm", config.sample_size, us);
         let us = measure(
             iters,
             || (),

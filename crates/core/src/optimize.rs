@@ -60,12 +60,10 @@
 //! sweep out over [`ExperimentConfig::threads`] workers
 //! ([`crate::parallel_map`]), and the budget units blocked on the plan's
 //! `OnceLock` no longer leave their cores idle. The choice of purchase
-//! stays one sequential pass over the scores, in candidate order. Under
-//! [`TransportMode::Cold`] every score is solved from a fresh basis, so
-//! the frontier is bit-identical at every thread count.
-//! [`TransportMode::Warm`] keeps the sweep serial: its warm chain depends
-//! on the order of the solves. The reference oracle
-//! ([`budget_optimize_reference`]) is serial too.
+//! stays one sequential pass over the scores, in candidate order. Every
+//! score is solved from a fresh basis, so the frontier is bit-identical
+//! at every thread count. The reference oracle
+//! ([`budget_optimize_reference`]) runs the sweep serially.
 //!
 //! Unlike the cost sweep's per-fraction mask-matched fits, candidate
 //! repairs are scored against the replication-level imputation model
@@ -89,7 +87,6 @@ use crate::experiment::ReplicationArtifacts;
 use crate::{
     Experiment, ExperimentConfig, FrameworkError, MetricScore, Result, ThreadPoolExecutor,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sd_cleaning::{CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit};
@@ -294,28 +291,17 @@ impl SelectionPolicy {
     }
 }
 
-/// How a sequential unit chain's exact EMD transports are solved — the
-/// budget optimizer's per-candidate planning sweep
-/// ([`BudgetOptimizerConfig::transport`]) and the cost sweep's
-/// per-strategy fraction ladder
-/// ([`crate::CostSweepConfig::transport`]).
+/// How the budget optimizer's exact EMD transports are solved
+/// ([`BudgetOptimizerConfig::transport`]). It selects nothing: every
+/// engine workload solves each transport cold, from a fresh
+/// north-west-corner basis on a thread-local scratch arena, bit-identical
+/// to the materialized reference path. The type is kept only so existing
+/// config literals compile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportMode {
-    /// Every exact transport is solved from a fresh north-west-corner
-    /// basis (on a thread-local scratch arena, so allocation is still
-    /// amortized). The default: scores are bit-identical to the
-    /// materialized reference path, enforced by this module's tests.
+    /// Every exact transport is solved cold (the only mode).
     #[default]
     Cold,
-    /// Consecutive scores within one chain — candidate re-scores of a
-    /// trajectory plan, or the fractions of one cost-sweep ladder — reuse
-    /// a [`sd_emd::BatchTransport`] checked out from the replication's
-    /// signature cache, warm-starting each solve from the previous
-    /// optimum's basis. Objectives agree with cold solves to
-    /// `1e-9 · (1 + |cold|)` (pivot order may legitimately differ);
-    /// greedy tie-breaks can therefore flip on exactly-tied gains, so
-    /// this mode trades the bit-identity guarantee for throughput.
-    Warm,
 }
 
 /// Configuration of a budget-optimization run.
@@ -335,8 +321,8 @@ pub struct BudgetOptimizerConfig {
     /// The greedy objective's distortion penalty `λ` (≥ 0; ignored by the
     /// baseline policies).
     pub distortion_weight: f64,
-    /// How the planner's exact EMD transports are solved (see
-    /// [`TransportMode`]); ignored by kernels that solve no transport.
+    /// Kept so existing config literals compile; selects nothing (see
+    /// [`TransportMode`]).
     pub transport: TransportMode,
 }
 
@@ -577,9 +563,8 @@ fn merge_edits(a: &[(usize, Vec<f64>)], b: &[(usize, Vec<f64>)]) -> Vec<(usize, 
 /// Each greedy step scores its affordable candidates over `threads`
 /// workers ([`crate::parallel_map`]; `0` = all cores), then picks the
 /// purchase in one sequential pass over the scores in `remaining` order.
-/// The fan-out is invisible in the result only if `score_union` is a pure
-/// function of its edit set: a scorer whose value depends on call order
-/// (a warm transport chain) must be given `threads = 1`.
+/// The fan-out is invisible in the result because `score_union` is a pure
+/// function of its edit set.
 fn plan_trajectory(
     candidates: &[Candidate],
     policy: SelectionPolicy,
@@ -782,42 +767,15 @@ pub fn budget_optimize_with<E: TaskExecutor>(
                     shuffle_seed(seed, r, si),
                 );
                 let primary = &opt.shared.kernels[0].prepared;
-                let steps = match config.transport {
-                    TransportMode::Cold => plan_trajectory(
-                        &candidates,
-                        config.policy,
-                        &order,
-                        config.distortion_weight,
-                        max_budget,
-                        config.experiment.threads,
-                        |edits| primary.score_edits(&opt.shared.cache, edits),
-                    ),
-                    // The plan runs once per strategy (under the
-                    // `OnceLock`) on one thread, so one checked-out batch
-                    // arena sees the whole candidate sweep in a
-                    // deterministic order — exactly the shape warm starts
-                    // want: same dirty signature, same support, perturbed
-                    // cleaned masses. The mutex only satisfies the
-                    // scorer's `Sync` bound; it is never contended.
-                    TransportMode::Warm => opt.shared.cache.with_transport(|batch| {
-                        let batch = Mutex::new(batch);
-                        plan_trajectory(
-                            &candidates,
-                            config.policy,
-                            &order,
-                            config.distortion_weight,
-                            max_budget,
-                            1,
-                            |edits| {
-                                primary.score_edits_with(
-                                    &opt.shared.cache,
-                                    edits,
-                                    &mut batch.lock(),
-                                )
-                            },
-                        )
-                    }),
-                }?;
+                let steps = plan_trajectory(
+                    &candidates,
+                    config.policy,
+                    &order,
+                    config.distortion_weight,
+                    max_budget,
+                    config.experiment.threads,
+                    |edits| primary.score_edits(&opt.shared.cache, edits),
+                )?;
                 Ok(StrategyPlan {
                     candidates,
                     order: steps,
@@ -1194,45 +1152,6 @@ mod tests {
                 }
                 assert_eq!(a.treated_report, b.treated_report);
             }
-        }
-    }
-
-    #[test]
-    fn warm_transport_matches_cold_within_contract() {
-        // `TransportMode::Warm` reuses one batch arena per trajectory
-        // plan, warm-starting the greedy sweep's EMD transports. Pivot
-        // order may legitimately differ from cold solves, so the contract
-        // is the batch layer's relative tolerance on objectives — and on
-        // this fixed seed the greedy decisions (purchases, spend) come
-        // out identical, which pins the frontier points together.
-        let data = data();
-        let mut cold_config = optimizer_config(SelectionPolicy::Greedy);
-        cold_config.distortion_weight = 0.5;
-        let mut warm_config = cold_config.clone();
-        warm_config.transport = TransportMode::Warm;
-        let cold = budget_optimize(&data, &cold_config).unwrap();
-        let warm = budget_optimize(&data, &warm_config).unwrap();
-        assert_eq!(cold.len(), warm.len());
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.budget, w.budget);
-            assert_eq!(c.replication, w.replication);
-            assert_eq!(c.series_cleaned, w.series_cleaned);
-            assert_eq!(c.spent.to_bits(), w.spent.to_bits());
-            assert!(
-                (c.distortion - w.distortion).abs() <= 1e-9 * (1.0 + c.distortion.abs()),
-                "distortion out of contract at r={} b={}: cold {} vs warm {}",
-                c.replication,
-                c.budget,
-                c.distortion,
-                w.distortion
-            );
-        }
-        // Warm mode is deterministic: the plan runs once, sequentially,
-        // on a chain-reset arena, so re-running reproduces every bit.
-        let again = budget_optimize(&data, &warm_config).unwrap();
-        for (a, b) in warm.iter().zip(&again) {
-            assert_eq!(a.spent.to_bits(), b.spent.to_bits());
-            assert_eq!(a.distortion.to_bits(), b.distortion.to_bits());
         }
     }
 

@@ -162,63 +162,6 @@ impl BasisTree {
         seen == nodes
     }
 
-    /// Recomputes the (unique) basic flows this tree implies for *new*
-    /// marginals — the warm-start repair step: every non-root node's
-    /// parent arc must carry exactly the node's subtree imbalance, found
-    /// by leaf elimination in reverse preorder. All non-tree cells of
-    /// `flow` are zeroed.
-    ///
-    /// Returns `false` when the basis is primal-infeasible for the new
-    /// marginals (some arc needs flow below `−tol`); flows in `[−tol, 0)`
-    /// are degenerate rounding residue and clamp to zero. The flow buffer
-    /// is always fully written — on `false` it holds the true (partly
-    /// negative) implied flows, exactly what [`Self::dual_repair`] needs
-    /// to restore feasibility without a cold restart.
-    pub(crate) fn flows_from_marginals(
-        &mut self,
-        supply: &[f64],
-        demand: &[f64],
-        flow: &mut [f64],
-        balance: &mut Vec<f64>,
-        order: &mut Vec<u32>,
-        tol: f64,
-    ) -> bool {
-        balance.clear();
-        balance.extend_from_slice(supply);
-        balance.extend_from_slice(demand);
-        order.clear();
-        self.stack.clear();
-        self.stack.push(0);
-        while let Some(u) = self.stack.pop() {
-            order.push(u);
-            let mut child = self.first_child[u as usize];
-            while child != NONE {
-                self.stack.push(child);
-                child = self.next_sibling[child as usize];
-            }
-        }
-        flow.fill(0.0);
-        // Reverse preorder visits every child before its parent, so each
-        // node's balance is already net of its subtree when reached. The
-        // root's residual balance is pure rounding (the instance is
-        // balanced) and needs no arc.
-        let mut feasible = true;
-        for &u in order.iter().rev() {
-            if u == 0 {
-                continue;
-            }
-            let b = balance[u as usize];
-            if b < -tol {
-                feasible = false;
-                flow[self.parent_cell[u as usize] as usize] = b;
-            } else {
-                flow[self.parent_cell[u as usize] as usize] = b.max(0.0);
-            }
-            balance[self.parent[u as usize] as usize] -= b;
-        }
-        feasible
-    }
-
     /// The reduced cost `c_ij − u_i − v_j` of cell `(i, j)`.
     #[cfg(test)]
     pub(crate) fn reduced_cost(&self, cost: &[f64], cell: usize) -> f64 {
@@ -458,143 +401,6 @@ impl BasisTree {
                 child = self.next_sibling[child as usize];
             }
         }
-    }
-
-    /// Dual network-simplex repair of a primal-infeasible basis — the
-    /// warm-start workhorse. After [`Self::flows_from_marginals`] maps a
-    /// new demand vector onto the inherited optimal basis, some basic arcs
-    /// may carry negative flow; but because the ground costs are
-    /// unchanged, the basis is still **dual feasible** (every reduced cost
-    /// ≥ 0 up to drift). Each iteration picks the most negative arc as the
-    /// leaving arc, severs its subtree `S`, and scans the cells crossing
-    /// the cut in the opposite orientation for the minimum-reduced-cost
-    /// entering arc (the dual ratio test, which preserves dual
-    /// feasibility). The entering cycle crosses the cut exactly once —
-    /// through the leaving arc, with a `+θ` coefficient by the orientation
-    /// choice — so pushing `θ = −flow[leaving]` zeroes the deficit
-    /// exactly. Ties break to the smallest cell id; all scans are
-    /// fixed-order, so repair is deterministic.
-    ///
-    /// Returns `false` (caller must fall back to a cold solve) if no
-    /// crossing candidate exists or the pivot budget is exhausted —
-    /// possible under heavy degeneracy, never an error.
-    pub(crate) fn dual_repair(
-        &mut self,
-        cost: &[f64],
-        flow: &mut [f64],
-        in_subtree: &mut Vec<bool>,
-        tol: f64,
-    ) -> bool {
-        let n = self.n;
-        let m = self.m;
-        let nodes = n + m;
-        let max_pivots = 4 * nodes + 32;
-        for _ in 0..max_pivots {
-            // Most negative basic arc (ties → smaller cell id).
-            let mut worst = NONE;
-            let mut worst_flow = -tol;
-            for u in 1..nodes as u32 {
-                let cell = self.parent_cell[u as usize];
-                let f = flow[cell as usize];
-                if f < worst_flow
-                    || (f == worst_flow && worst != NONE && cell < self.parent_cell[worst as usize])
-                {
-                    worst_flow = f;
-                    worst = u;
-                }
-            }
-            if worst == NONE {
-                // Feasible: clamp degenerate rounding residue in
-                // `[−tol, 0)` on basic arcs to exact zero.
-                for u in 1..nodes as u32 {
-                    let cell = self.parent_cell[u as usize] as usize;
-                    if flow[cell] < 0.0 {
-                        flow[cell] = 0.0;
-                    }
-                }
-                return true;
-            }
-            let leaving_cell = self.parent_cell[worst as usize];
-
-            // Mark the severed subtree S under the leaving arc's child.
-            reset_to(in_subtree, nodes, false);
-            self.stack.clear();
-            self.stack.push(worst);
-            while let Some(u) = self.stack.pop() {
-                in_subtree[u as usize] = true;
-                let mut child = self.first_child[u as usize];
-                while child != NONE {
-                    self.stack.push(child);
-                    child = self.next_sibling[child as usize];
-                }
-            }
-
-            // The leaving arc's child-side endpoint kind fixes the needed
-            // crossing orientation: a row child means the arc ships out of
-            // S and its deficit needs mass shipped *into* S (row ∉ S,
-            // col ∈ S); a column child is the mirror image.
-            let want_row_in = (worst as usize) >= n;
-            let mut best = usize::MAX;
-            let mut best_rc = f64::INFINITY;
-            for r in 0..n {
-                if in_subtree[r] != want_row_in {
-                    continue;
-                }
-                let ur = self.pot[r];
-                let base = r * m;
-                for (c, sub) in in_subtree[n..].iter().enumerate() {
-                    if *sub == want_row_in {
-                        continue;
-                    }
-                    let cell = base + c;
-                    let rc = cost[cell] - ur - self.pot[n + c];
-                    if rc < best_rc || (rc == best_rc && cell < best) {
-                        best_rc = rc;
-                        best = cell;
-                    }
-                }
-            }
-            if best == usize::MAX {
-                return false;
-            }
-            let er = best / m;
-            let ec = best - er * m;
-            let row_end = er as u32;
-            let col_end = (n + ec) as u32;
-
-            // Push θ = −flow[leaving] around the entering cycle. The sign
-            // convention matches `pivot`: walking the cycle
-            // column-endpoint → LCA → row-endpoint, an arc carries −θ when
-            // traversed column→row. The leaving arc lies on the path from
-            // the in-S endpoint to the (out-of-S) LCA and its recorded
-            // child is `worst`, which by the orientation choice lands it
-            // on the +θ side — so its flow rises to exactly zero.
-            self.collect_cycle(row_end, col_end);
-            let theta = -flow[leaving_cell as usize];
-            flow[best] += theta;
-            for k in 0..self.up_row.len() {
-                let (child, cell) = self.up_row[k];
-                if (child as usize) < n {
-                    flow[cell as usize] -= theta;
-                } else {
-                    flow[cell as usize] += theta;
-                }
-            }
-            for k in 0..self.up_col.len() {
-                let (child, cell) = self.up_col[k];
-                if (child as usize) >= n {
-                    flow[cell as usize] -= theta;
-                } else {
-                    flow[cell as usize] += theta;
-                }
-            }
-            flow[leaving_cell as usize] = 0.0; // exact by construction
-
-            let in_node = if in_subtree[er] { row_end } else { col_end };
-            let out_node = if in_node == row_end { col_end } else { row_end };
-            self.exchange(worst, in_node, out_node, best as u32, best_rc);
-        }
-        false
     }
 
     /// Links `node` at the head of `parent`'s children list.

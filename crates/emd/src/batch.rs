@@ -1,237 +1,28 @@
-//! Warm-started batch transportation solves on one reused scratch arena.
+//! One reused scratch arena for cold transportation solves.
 //!
-//! The experiment engine scores every cleaning strategy of a replication
-//! against the *same* dirty signature, so consecutive transportation
-//! problems share their supply vector and (usually) their cost matrix —
-//! only the demand side moves. [`BatchTransport`] exploits both facts:
-//!
-//! * **arena reuse** — the flow matrix, basis-tree arrays, dual vectors,
-//!   adjacency scratch and marginal working copies are allocated once and
-//!   recycled across solves ([`BatchTransport::solve_cold`] is this mode
-//!   alone: it replays exactly the pivot sequence of a standalone
-//!   [`crate::TransportProblem::solve`], so its results are
-//!   **bit-identical** and safe anywhere the engine needs determinism);
-//! * **warm starts** — when a solve shares the previous solve's shape,
-//!   supply bits and cost bits, [`BatchTransport::solve`] keeps the
-//!   previous optimal basis tree, recomputes the unique basic flows for
-//!   the new demand vector by leaf elimination
-//!   ([`BasisTree::flows_from_marginals`]), **repairs** any negative arcs
-//!   with dual network-simplex pivots ([`BasisTree::dual_repair`] — the
-//!   inherited basis stays dual-feasible because the costs are
-//!   unchanged), and resumes primal pivoting from there. Near-identical
-//!   demands (the common case: a cleaning strategy moves a few percent of
-//!   rows) re-verify optimality in a handful of pivots instead of
-//!   re-running the NW-corner staircase from scratch.
-//!
-//! A warm start whose repair stalls (no crossing candidate under heavy
-//! degeneracy, pivot budget exhausted) or whose resumed pricing fails
-//! falls back to the cold path on the same arena — counted in
-//! [`BatchStats::fallbacks`] — so `solve` never errors where a cold solve
-//! would have succeeded.
-//!
-//! [`BatchTransport::solve_chained`] extends warm starts across a
-//! fraction ladder, where the *cost matrix drifts* link to link: an
-//! unchanged shape with changed cost bits is repaired under the old
-//! costs, repriced, and resumed ([`BatchStats::drift_hits`]). The grid
-//! pipeline keeps even the *shape* stable across a ladder by embedding
-//! each link into a [`ChainFrame`] slot roster with exactly-zero padding
-//! — see that type's docs for the padding-soundness argument.
-//!
-//! **Objective contract.** Warm and cold solves both terminate at an
-//! optimal basis of the same linear program, so their objectives agree
-//! mathematically; the *pivot sequences* differ, so the floating-point
-//! results may differ in the last bits when the optimum is degenerate
-//! (alternative optimal bases). The enforced contract, tested here and in
-//! the workspace property suite, is
-//! `|warm − cold| ≤ 1e-9 · (1 + |cold|)`. Paths that must be
-//! bit-identical (everything the engine compares against preserved
-//! references) use `solve_cold` exclusively.
+//! The experiment engine runs one exact transportation solve per
+//! distortion score. [`BatchTransport`] allocates the flow matrix,
+//! basis-tree arrays, dual vectors, adjacency scratch and marginal working
+//! copies once and recycles them across solves.
+//! [`BatchTransport::solve_cold`] replays exactly the NW-corner + pivot
+//! sequence of a standalone [`crate::TransportProblem::solve`], so its
+//! results are **bit-identical** to it regardless of which solves the
+//! arena served before. The grid pipeline reaches the arena through one
+//! thread-local instance per worker thread.
 
 use crate::basis_tree::{BasisTree, BuildScratch};
 use crate::transport::{northwest_corner_into, run_simplex, validate_balanced};
 use crate::{EmdError, Result};
 use std::cell::RefCell;
 
-/// Basic flows inherited by a warm start below
-/// `−WARM_FEASIBILITY_TOL × total mass` count as primal infeasibilities
-/// and trigger the dual repair; flows in `[−tol, 0)` are degenerate
-/// rounding residue and clamp to zero.
-const WARM_FEASIBILITY_TOL: f64 = 1e-9;
-
-/// Caller-managed cell frames for *padded* chained solves.
-///
-/// The grid pipeline's chained path ([`crate::GridEmd`]'s fraction-ladder
-/// entry point) embeds every link's signature into a fixed roster of
-/// *slots*, one roster per marginal, padding every slot whose anchor cell
-/// the link does not occupy with exactly-zero mass. Zero-mass nodes force
-/// zero flow in every feasible solution, so the padded optimum equals the
-/// unpadded one; what padding buys is a *stable shape*: consecutive links
-/// present the same `(n, m)` to [`BatchTransport::solve_chained`] even as
-/// their occupied-cell sets drift, which is what lets the warm basis
-/// survive the ladder.
-///
-/// When a link occupies a cell the roster has not seen, the frame first
-/// tries to **re-anchor** a slot whose old cell the link vacated: a
-/// zero-mass slot's ground position is arbitrary, so moving it to the new
-/// cell is an ordinary cost perturbation — absorbed by the drifted warm
-/// path without a shape change. The roster only grows (shape change →
-/// cold restart, chain re-seeded) when the link occupies more cells than
-/// the roster holds slots, which in a cleaning ladder happens on the few
-/// early links where occupancy still rises.
-///
-/// The frame is opaque to the solver; it lives on the arena so
-/// [`BatchTransport::reset_chain`] clears it together with the warm flag
-/// at every pool checkout.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChainFrame {
-    /// Slot roster framing the supply marginal.
-    pub side_a: SideFrame,
-    /// Slot roster framing the demand marginal.
-    pub side_b: SideFrame,
-}
-
-impl ChainFrame {
-    /// Covers both ascending cell lists, re-anchoring vacated slots where
-    /// possible. Returns `true` when either link occupies more cells than
-    /// its roster holds slots: the shape must change, so **both** rosters
-    /// are rebuilt as exactly the link's cells — the forced cold restart
-    /// then solves the *unpadded* instance (zero-mass padding makes the
-    /// NW-corner start pathologically degenerate, so padded cold solves
-    /// are avoided entirely) and re-seeds the chain from it.
-    pub fn ensure_covers(&mut self, a: &[usize], b: &[usize]) -> bool {
-        if a.len() > self.side_a.slot_cells.len() || b.len() > self.side_b.slot_cells.len() {
-            self.side_a.rebuild(a);
-            self.side_b.rebuild(b);
-            return true;
-        }
-        self.side_a.cover(a);
-        self.side_b.cover(b);
-        false
-    }
-}
-
-/// One marginal's slot roster (see [`ChainFrame`]): `slot_cells[s]` is
-/// the grid cell slot `s` is anchored to. Anchors are pairwise distinct —
-/// every anchored cell maps back to exactly one slot — but the roster is
-/// *not* sorted: re-anchoring and growth append or overwrite in coverage
-/// order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SideFrame {
-    slot_cells: Vec<usize>,
-    /// Inverse map: anchor cell → slot.
-    index: std::collections::BTreeMap<usize, usize>,
-}
-
-impl SideFrame {
-    /// Anchor cells by slot. The embedded marginal has length
-    /// `slots().len()`; slot `s` carries the link's mass for cell
-    /// `slots()[s]` when the link occupies it, and exact zero otherwise.
-    pub fn slots(&self) -> &[usize] {
-        &self.slot_cells
-    }
-
-    /// Anchors every cell of the ascending `cells` list to a slot:
-    /// already-anchored cells keep their slot, new cells re-anchor slots
-    /// whose old cell this link vacated (ascending victim order, so the
-    /// assignment is deterministic). The caller guarantees
-    /// `cells.len() ≤ slots().len()` (rosters are bijectively anchored,
-    /// so that bound means enough vacated slots exist).
-    fn cover(&mut self, cells: &[usize]) {
-        debug_assert!(cells.windows(2).all(|w| w[0] < w[1]), "cells not sorted");
-        let fresh: Vec<usize> = cells
-            .iter()
-            .copied()
-            .filter(|c| !self.index.contains_key(c))
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        // Slots whose anchor the link vacated, in ascending anchor order.
-        let victims: Vec<usize> = self
-            .index
-            .iter()
-            .filter(|(c, _)| cells.binary_search(c).is_err())
-            .map(|(&c, _)| c)
-            .collect();
-        if victims.len() < fresh.len() {
-            // Unreachable while the roster is bijective and the caller
-            // checked `cells.len() ≤ slots().len()`; rebuilding keeps the
-            // roster coherent regardless (the solver sees a new shape and
-            // cold-restarts, which is always correct — just not warm).
-            self.rebuild(cells);
-            return;
-        }
-        for (c, vc) in fresh.into_iter().zip(victims) {
-            if let Some(s) = self.index.remove(&vc) {
-                self.slot_cells[s] = c;
-                self.index.insert(c, s);
-            }
-        }
-    }
-
-    /// Resets the roster to exactly `cells` (ascending), slot `s`
-    /// anchored to `cells[s]` — the unpadded embedding.
-    fn rebuild(&mut self, cells: &[usize]) {
-        self.clear();
-        self.slot_cells.extend_from_slice(cells);
-        self.index
-            .extend(cells.iter().copied().enumerate().map(|(s, c)| (c, s)));
-    }
-
-    fn clear(&mut self) {
-        self.slot_cells.clear();
-        self.index.clear();
-    }
-}
-
-/// Counters describing how a [`BatchTransport`] arena has been used.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Total solves attempted (cold and warm entry points).
-    pub solves: u64,
-    /// Solves completed from the inherited warm basis.
-    pub warm_hits: u64,
-    /// Warm hits that needed dual-repair pivots to restore primal
-    /// feasibility first (a subset of `warm_hits`).
-    pub repairs: u64,
-    /// Warm hits completed although the chain's cost matrix had drifted
-    /// (the chained-unit mode of [`BatchTransport::solve_chained`]; a
-    /// subset of `warm_hits`).
-    pub drift_hits: u64,
-    /// Warm attempts that fell back to a cold solve (repair stalled or a
-    /// resumed pivot failed).
-    pub fallbacks: u64,
-}
-
-/// Reusable transportation-solve arena with optional warm starts.
+/// Reusable transportation-solve arena.
 ///
 /// All simplex scratch (flow matrix, basis-tree arrays, dual vectors,
-/// pricing blocks) is allocated once and recycled across solves.
-/// [`solve`](Self::solve) warm-starts from the previous solve's optimal
-/// basis whenever the shape, supply bits and cost bits match, repairing
-/// primal infeasibilities with dual network-simplex pivots and falling
-/// back to a cold solve when the repair stalls.
-///
-/// **Objective contract.** Warm and cold solves terminate at an optimal
-/// basis of the same linear program, so their objectives agree
-/// mathematically; the pivot sequences differ, so under degeneracy
-/// (alternative optimal bases) the floating-point results may differ in
-/// the last bits. The enforced contract is
-/// `|warm − cold| ≤ 1e-9 · (1 + |cold|)`.
-/// [`solve_cold`](Self::solve_cold) replays a standalone
-/// [`crate::TransportProblem::solve`] exactly and is **bit-identical**
-/// to it — use it anywhere the engine compares against preserved
-/// references.
+/// pricing blocks) is allocated once and recycled across solves; every
+/// solve starts cold from a fresh north-west-corner basis, so results are
+/// bit-identical to [`crate::TransportProblem::solve`].
 #[derive(Debug)]
 pub struct BatchTransport {
-    n: usize,
-    m: usize,
-    /// Supply vector of the warm chain (bit-compared on each solve).
-    chain_supply: Vec<f64>,
-    /// Cost matrix of the warm chain (bit-compared on each solve).
-    chain_cost: Vec<f64>,
-    /// Whether `tree` holds an optimal basis for the chain problem.
-    warm: bool,
     /// Rescaled demand of the current solve.
     demand: Vec<f64>,
     flow: Vec<f64>,
@@ -240,13 +31,6 @@ pub struct BatchTransport {
     s: Vec<f64>,
     d: Vec<f64>,
     basis: Vec<u32>,
-    balance: Vec<f64>,
-    order: Vec<u32>,
-    /// Subtree marks for the dual-repair cut scan.
-    in_subtree: Vec<bool>,
-    /// Cell frames for padded chained solves (see [`ChainFrame`]).
-    frame: ChainFrame,
-    stats: BatchStats,
 }
 
 impl Default for BatchTransport {
@@ -260,11 +44,6 @@ impl BatchTransport {
     /// reused afterwards.
     pub fn new() -> Self {
         BatchTransport {
-            n: 0,
-            m: 0,
-            chain_supply: Vec::new(),
-            chain_cost: Vec::new(),
-            warm: false,
             demand: Vec::new(),
             flow: Vec::new(),
             tree: BasisTree::new_empty(),
@@ -272,250 +51,18 @@ impl BatchTransport {
             s: Vec::new(),
             d: Vec::new(),
             basis: Vec::new(),
-            balance: Vec::new(),
-            order: Vec::new(),
-            in_subtree: Vec::new(),
-            frame: ChainFrame::default(),
-            stats: BatchStats::default(),
         }
     }
 
-    /// Usage counters since construction (or the last
-    /// [`reset_stats`](Self::reset_stats)).
-    pub fn stats(&self) -> BatchStats {
-        self.stats
-    }
-
-    /// Zeroes the usage counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = BatchStats::default();
-    }
-
-    /// Forgets the warm-start chain (allocations and stats are kept).
-    /// The next [`solve`](Self::solve) runs cold and starts a new chain.
-    pub fn reset_chain(&mut self) {
-        self.warm = false;
-        self.frame.side_a.clear();
-        self.frame.side_b.clear();
-    }
-
-    /// Moves the padded-chain cell frame out of the arena (so a caller
-    /// can read and extend it while also mutably borrowing the arena for
-    /// the solve itself). Pair with
-    /// [`restore_chain_frame`](Self::restore_chain_frame).
-    pub fn take_chain_frame(&mut self) -> ChainFrame {
-        std::mem::take(&mut self.frame)
-    }
-
-    /// Returns a frame taken with
-    /// [`take_chain_frame`](Self::take_chain_frame) so the next link of
-    /// the chain sees it.
-    pub fn restore_chain_frame(&mut self, frame: ChainFrame) {
-        self.frame = frame;
-    }
-
-    /// The optimal flow matrix of the most recent successful solve
-    /// (row-major `n × m`).
-    pub fn flow(&self) -> &[f64] {
-        &self.flow
-    }
-
-    /// Solves a balanced transportation instance, warm-starting from the
-    /// previous solve's optimal basis when the shape, supply bits and
-    /// cost bits all match (the engine's strategy-batch pattern: same
-    /// dirty signature, different cleaned demands). Returns the
-    /// normalized EMD `objective / total mass`; see [`BatchTransport`]'s
-    /// docs for the warm-vs-cold objective contract.
-    pub fn solve(&mut self, supply: &[f64], demand: &[f64], cost: &[f64]) -> Result<f64> {
-        let scale = validate_balanced(supply, demand, cost)?;
-        self.stats.solves += 1;
-        self.demand.clear();
-        self.demand.extend(demand.iter().map(|&x| x * scale));
-        let total: f64 = supply.iter().sum();
-        let warm_ok = self.warm
-            && self.n == supply.len()
-            && self.m == demand.len()
-            && bits_equal(&self.chain_supply, supply)
-            && bits_equal(&self.chain_cost, cost);
-        if warm_ok {
-            match self.try_warm(supply, cost, total) {
-                Some(value) => {
-                    self.stats.warm_hits += 1;
-                    return Ok(value);
-                }
-                None => self.stats.fallbacks += 1,
-            }
-        }
-        // Cold (re)start: the warm flag is cleared first so an error exit
-        // cannot leave a half-built tree marked reusable.
-        self.warm = false;
-        let objective = self.cold_inner(supply, cost)?;
-        self.remember(supply, cost);
-        Ok(objective / total)
-    }
-
-    /// Solves the next link of a *chained-unit* sequence — the cost
-    /// sweep's fraction ladder, where consecutive instances are
-    /// re-quantizations of one dirty cloud against progressively cleaner
-    /// counterparts: masses drift on **both** marginals (the cover rule
-    /// re-grids, perturbing even the dirty side's weights) and the
-    /// ground-cost matrix drifts as cleaning moves mass between grid
-    /// cells. Warm-starts whenever the *shape* `(n, m)` matches the chain
-    /// head — the basis tree is a spanning structure over the node sets,
-    /// so it survives any marginal or cost perturbation of the same
-    /// shape:
-    ///
-    /// * unchanged cost bits — exactly the [`solve`](Self::solve) warm
-    ///   path: the inherited duals stay feasible, so supply *and* demand
-    ///   drift is the textbook RHS re-optimization (flows from the new
-    ///   marginals, dual repair of negative arcs, resumed pricing);
-    /// * drifted cost bits — the inherited spanning tree is re-priced
-    ///   against the new costs and, if its implied basic flows for the new
-    ///   marginals are already primal-feasible, primal pivoting resumes
-    ///   directly (classic re-optimization after a cost perturbation).
-    ///   The dual repair is **not** available here — its correctness
-    ///   argument needs unchanged costs — so an infeasible inheritance
-    ///   falls back to a cold solve on the same arena.
-    ///
-    /// Either way the solve terminates at an optimal basis of the *new*
-    /// program, so the objective contract is [`solve`](Self::solve)'s:
-    /// `|warm − cold| ≤ 1e-9 · (1 + |cold|)`.
-    pub fn solve_chained(&mut self, supply: &[f64], demand: &[f64], cost: &[f64]) -> Result<f64> {
-        let scale = validate_balanced(supply, demand, cost)?;
-        self.stats.solves += 1;
-        self.demand.clear();
-        self.demand.extend(demand.iter().map(|&x| x * scale));
-        let total: f64 = supply.iter().sum();
-        let chain_ok = self.warm && self.n == supply.len() && self.m == demand.len();
-        if chain_ok {
-            let drifted = !bits_equal(&self.chain_cost, cost);
-            let attempt = if drifted {
-                self.try_warm_drifted(supply, cost, total)
-            } else {
-                // Costs are bit-equal to the chain head's, so the
-                // inherited duals stay feasible and supply/demand drift
-                // is the textbook RHS re-optimization `try_warm` runs
-                // (flows from the new marginals, dual repair, resume).
-                self.try_warm(supply, cost, total)
-            };
-            match attempt {
-                Some(value) => {
-                    self.stats.warm_hits += 1;
-                    if drifted {
-                        self.stats.drift_hits += 1;
-                    }
-                    // The tree is optimal for the new instance: it is the
-                    // chain head for the next link.
-                    self.chain_supply.clear();
-                    self.chain_supply.extend_from_slice(supply);
-                    self.chain_cost.clear();
-                    self.chain_cost.extend_from_slice(cost);
-                    return Ok(value);
-                }
-                None => self.stats.fallbacks += 1,
-            }
-        }
-        self.warm = false;
-        let objective = self.cold_inner(supply, cost)?;
-        self.remember(supply, cost);
-        Ok(objective / total)
-    }
-
-    /// Solves on the reused arena **without** warm-starting: replays the
-    /// exact NW-corner + pivot sequence of a standalone
+    /// Solves a balanced transportation instance on the reused arena:
+    /// replays the exact NW-corner + pivot sequence of a standalone
     /// [`crate::TransportProblem::solve`], so the result is bit-identical
-    /// to it. Seeds the warm chain for a following [`solve`](Self::solve).
+    /// to it. Returns the normalized EMD `objective / total mass`.
     pub fn solve_cold(&mut self, supply: &[f64], demand: &[f64], cost: &[f64]) -> Result<f64> {
         let scale = validate_balanced(supply, demand, cost)?;
-        self.stats.solves += 1;
         self.demand.clear();
         self.demand.extend(demand.iter().map(|&x| x * scale));
         let total: f64 = supply.iter().sum();
-        self.warm = false;
-        let objective = self.cold_inner(supply, cost)?;
-        self.remember(supply, cost);
-        Ok(objective / total)
-    }
-
-    /// Attempts to finish the current instance from the inherited basis.
-    /// `None` means the dual repair stalled or a resumed pivot failed —
-    /// the caller falls back to a cold solve (which rebuilds the tree, so
-    /// partially-written state here is harmless).
-    fn try_warm(&mut self, supply: &[f64], cost: &[f64], total: f64) -> Option<f64> {
-        let tol = WARM_FEASIBILITY_TOL * total;
-        let n = self.n;
-        let m = self.m;
-        self.flow.resize(n * m, 0.0);
-        // Costs are unchanged (bit-compared), so the inherited duals are
-        // still tree-consistent; recompute first to clear incremental
-        // drift deterministically before the repair prices reduced costs.
-        self.tree.recompute_potentials(cost);
-        let repaired = if !self.tree.flows_from_marginals(
-            supply,
-            &self.demand,
-            &mut self.flow,
-            &mut self.balance,
-            &mut self.order,
-            tol,
-        ) {
-            if !self
-                .tree
-                .dual_repair(cost, &mut self.flow, &mut self.in_subtree, tol)
-            {
-                return None;
-            }
-            true
-        } else {
-            false
-        };
-        run_simplex(n, m, cost, &mut self.tree, &mut self.flow).ok()?;
-        if repaired {
-            self.stats.repairs += 1;
-        }
-        Some(objective_of(&self.flow, cost) / total)
-    }
-
-    /// The cost-drift warm attempt of [`solve_chained`]
-    /// (`Self::solve_chained`), in two stages that each keep a valid
-    /// invariant:
-    ///
-    /// 1. **RHS re-optimization under the chain head's costs** — the
-    ///    inherited duals are feasible for those costs, so the basic
-    ///    flows for the new marginals can be repaired with dual pivots
-    ///    exactly as in [`try_warm`](Self::try_warm). This ends at a
-    ///    primal-feasible basis.
-    /// 2. **Cost re-optimization** — from a primal-feasible basis, primal
-    ///    pivoting under the *new* costs needs no feasibility argument at
-    ///    all; re-price the tree and resume.
-    ///
-    /// `None` (repair stalled or a pivot failed) falls back to a cold
-    /// solve on the same arena.
-    fn try_warm_drifted(&mut self, supply: &[f64], cost: &[f64], total: f64) -> Option<f64> {
-        let tol = WARM_FEASIBILITY_TOL * total;
-        let n = self.n;
-        let m = self.m;
-        self.flow.resize(n * m, 0.0);
-        self.tree.recompute_potentials(&self.chain_cost);
-        if !self.tree.flows_from_marginals(
-            supply,
-            &self.demand,
-            &mut self.flow,
-            &mut self.balance,
-            &mut self.order,
-            tol,
-        ) && !self
-            .tree
-            .dual_repair(&self.chain_cost, &mut self.flow, &mut self.in_subtree, tol)
-        {
-            return None;
-        }
-        self.tree.recompute_potentials(cost);
-        run_simplex(n, m, cost, &mut self.tree, &mut self.flow).ok()?;
-        Some(objective_of(&self.flow, cost) / total)
-    }
-
-    /// NW-corner + MODI on the arena buffers; returns the raw objective.
-    fn cold_inner(&mut self, supply: &[f64], cost: &[f64]) -> Result<f64> {
         let n = supply.len();
         let m = self.demand.len();
         self.flow.clear();
@@ -534,18 +81,7 @@ impl BatchTransport {
             return Err(EmdError::NoConvergence { iterations: 0 });
         }
         run_simplex(n, m, cost, &mut self.tree, &mut self.flow)?;
-        Ok(objective_of(&self.flow, cost))
-    }
-
-    /// Records the solved instance as the warm chain head.
-    fn remember(&mut self, supply: &[f64], cost: &[f64]) {
-        self.n = supply.len();
-        self.m = self.demand.len();
-        self.chain_supply.clear();
-        self.chain_supply.extend_from_slice(supply);
-        self.chain_cost.clear();
-        self.chain_cost.extend_from_slice(cost);
-        self.warm = true;
+        Ok(objective_of(&self.flow, cost) / total)
     }
 }
 
@@ -553,12 +89,6 @@ impl BatchTransport {
 /// [`crate::TransportProblem::objective`] (bit-identity matters).
 fn objective_of(flow: &[f64], cost: &[f64]) -> f64 {
     flow.iter().zip(cost).map(|(f, c)| f * c).sum()
-}
-
-/// Bitwise slice equality — the warm-start key comparison (`==` on f64
-/// would treat `-0.0 == 0.0` and `NaN != NaN`; the chain must be exact).
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 thread_local! {
@@ -630,343 +160,27 @@ mod tests {
                 "trial {trial} ({n}x{m}): {standalone} vs {batched}"
             );
         }
-        assert_eq!(arena.stats().warm_hits, 0);
-        assert_eq!(arena.stats().fallbacks, 0);
-        assert_eq!(arena.stats().solves, 12);
-    }
-
-    #[test]
-    fn warm_chain_matches_cold_solves_within_contract() {
-        // The engine's batch shape: one dirty signature (supply + cost
-        // fixed), a sequence of slightly perturbed cleaned demands.
-        let mut next = lcg(0x9A7);
-        let (supply, mut demand, cost) = instance(24, 18, &mut next);
-        let mut arena = BatchTransport::new();
-        for round in 0..8 {
-            // Move a few percent of one cell's mass to another.
-            let a = round % demand.len();
-            let b = (round * 7 + 3) % demand.len();
-            let delta = demand[a] * 0.05;
-            demand[a] -= delta;
-            demand[b] += delta;
-            let warm = arena.solve(&supply, &demand, &cost).unwrap();
-            let cold = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
-            );
-        }
-        let stats = arena.stats();
-        assert!(stats.warm_hits > 0, "no warm start ever engaged: {stats:?}");
-        assert_eq!(stats.solves, 8);
-        // Every round after the first either warmed or fell back.
-        assert_eq!(stats.warm_hits + stats.fallbacks, 7, "{stats:?}");
-    }
-
-    #[test]
-    fn dual_repair_engages_on_demand_drift() {
-        // Larger instances have highly degenerate optimal bases: almost
-        // any demand drift drives some implied basic flow negative, so
-        // the warm path must go through the dual repair rather than the
-        // strict feasibility check. Assert the repair actually runs and
-        // still lands on the cold optimum.
-        let mut next = lcg(0xF17);
-        let (supply, mut demand, cost) = instance(24, 18, &mut next);
-        let mut arena = BatchTransport::new();
-        for round in 0..6 {
-            if round > 0 {
-                for k in 0..3 {
-                    let a = (round * 5 + k) % demand.len();
-                    let b = (round * 11 + 2 * k + 1) % demand.len();
-                    let delta = demand[a] * 0.1;
-                    demand[a] -= delta;
-                    demand[b] += delta;
-                }
-            }
-            let warm = arena.solve(&supply, &demand, &cost).unwrap();
-            let cold = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
-            );
-        }
-        let stats = arena.stats();
-        assert!(stats.repairs > 0, "dual repair never engaged: {stats:?}");
-        assert!(stats.repairs <= stats.warm_hits, "{stats:?}");
-    }
-
-    #[test]
-    fn chain_breaks_on_changed_supply_or_cost() {
-        let mut next = lcg(0xB0B);
-        let (supply, demand, cost) = instance(8, 9, &mut next);
-        let mut arena = BatchTransport::new();
-        arena.solve(&supply, &demand, &cost).unwrap();
-        // Different supply bits: must not warm-start.
-        let mut supply2 = supply.clone();
-        supply2[0] += 1e-3;
-        supply2[1] -= 1e-3;
-        arena.solve(&supply2, &demand, &cost).unwrap();
-        assert_eq!(arena.stats().warm_hits, 0);
-        // Different cost bits: must not warm-start.
-        let mut cost2 = cost.clone();
-        cost2[3] += 0.5;
-        arena.solve(&supply, &demand, &cost2).unwrap();
-        assert_eq!(arena.stats().warm_hits, 0);
-        // Identical instance again: warm start engages.
-        arena.solve(&supply, &demand, &cost2).unwrap();
-        assert_eq!(arena.stats().warm_hits, 1);
-        assert_eq!(arena.stats().fallbacks, 0);
-    }
-
-    #[test]
-    fn chained_solve_survives_cost_drift_within_contract() {
-        // A fraction ladder's shape: pinned supply, drifting demands AND
-        // a slightly perturbed cost matrix at every link.
-        let mut next = lcg(0xACE);
-        let (supply, mut demand, mut cost) = instance(20, 16, &mut next);
-        let mut arena = BatchTransport::new();
-        for round in 0..8 {
-            if round > 0 {
-                let a = round % demand.len();
-                let b = (round * 5 + 1) % demand.len();
-                let delta = demand[a] * 0.04;
-                demand[a] -= delta;
-                demand[b] += delta;
-                // Cost drift: one entry nudged per link.
-                let k = (round * 13) % cost.len();
-                cost[k] += 0.05;
-            }
-            let warm = arena.solve_chained(&supply, &demand, &cost).unwrap();
-            let cold = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
-            );
-        }
-        let stats = arena.stats();
-        assert_eq!(stats.solves, 8);
-        // Every link after the first either warmed or fell back — a
-        // drifted cost alone must not break the chain.
-        assert_eq!(stats.warm_hits + stats.fallbacks, 7, "{stats:?}");
-        assert!(stats.drift_hits <= stats.warm_hits, "{stats:?}");
-    }
-
-    #[test]
-    fn chained_solve_with_stable_cost_matches_solve_semantics() {
-        let mut next = lcg(0xFAB);
-        let (supply, mut demand, cost) = instance(12, 10, &mut next);
-        let mut arena = BatchTransport::new();
-        for round in 0..5 {
-            let a = round % demand.len();
-            let b = (round * 3 + 1) % demand.len();
-            let delta = demand[a] * 0.05;
-            demand[a] -= delta;
-            demand[b] += delta;
-            let warm = arena.solve_chained(&supply, &demand, &cost).unwrap();
-            let cold = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
-            );
-        }
-        let stats = arena.stats();
-        assert_eq!(stats.drift_hits, 0, "{stats:?}");
-        assert!(stats.warm_hits > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn chained_solve_survives_supply_drift_and_breaks_on_shape() {
-        let mut next = lcg(0xCAB);
-        let (supply, demand, cost) = instance(6, 5, &mut next);
-        let mut arena = BatchTransport::new();
-        arena.solve_chained(&supply, &demand, &cost).unwrap();
-        // Drifted supply bits, same shape: the chain holds (RHS
-        // re-optimization) and the contract still binds.
-        let mut supply2 = supply.clone();
-        supply2[0] += 1e-3;
-        supply2[1] -= 1e-3;
-        let warm = arena.solve_chained(&supply2, &demand, &cost).unwrap();
-        let cold = TransportProblem::new(supply2, demand.clone(), cost.clone())
-            .unwrap()
-            .solve()
-            .unwrap();
-        assert!((warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()));
-        let after_supply_drift = arena.stats();
-        assert_eq!(
-            after_supply_drift.warm_hits + after_supply_drift.fallbacks,
-            1,
-            "{after_supply_drift:?}"
-        );
-        // Different shape: the spanning tree has the wrong node sets —
-        // cold restart, not even a warm attempt.
-        let (s3, d3, c3) = instance(7, 5, &mut next);
-        arena.solve_chained(&s3, &d3, &c3).unwrap();
-        let after_shape_change = arena.stats();
-        assert_eq!(after_shape_change.warm_hits, after_supply_drift.warm_hits);
-        assert_eq!(after_shape_change.fallbacks, after_supply_drift.fallbacks);
-    }
-
-    #[test]
-    fn reset_chain_forces_a_cold_solve() {
-        let mut next = lcg(0x5E7);
-        let (supply, demand, cost) = instance(6, 7, &mut next);
-        let mut arena = BatchTransport::new();
-        arena.solve(&supply, &demand, &cost).unwrap();
-        arena.reset_chain();
-        let v = arena.solve(&supply, &demand, &cost).unwrap();
-        assert_eq!(arena.stats().warm_hits, 0);
-        let reference = TransportProblem::new(supply, demand, cost)
-            .unwrap()
-            .solve()
-            .unwrap();
-        assert_eq!(v.to_bits(), reference.to_bits());
-    }
-
-    #[test]
-    fn degenerate_duplicate_mass_chain_survives() {
-        // Small-integer masses: many ties, exactly-zero basic flows, and
-        // equal-cost pivots — the shapes that once triggered BrokenPivot.
-        let mut next = lcg(0xDE6);
-        let k = 10usize;
-        let supply = vec![1.0 / k as f64; k];
-        let cost: Vec<f64> = (0..k * k).map(|_| (next() * 3.0).floor()).collect();
-        let mut arena = BatchTransport::new();
-        for round in 0..6 {
-            // Demands are duplicate small integers, renormalized.
-            let mut demand: Vec<f64> = (0..k).map(|_| 1.0 + (next() * 3.0).floor()).collect();
-            let dt: f64 = demand.iter().sum();
-            demand.iter_mut().for_each(|x| *x /= dt);
-            let warm = arena.solve(&supply, &demand, &cost).unwrap();
-            let cold = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
-            );
-        }
-    }
-
-    #[test]
-    fn infeasible_warm_start_falls_back_cleanly() {
-        // A chain where the optimal basis of round 1 cannot carry round
-        // 2's demands: mass concentrates on a column the old tree feeds
-        // through arcs that would go negative.
-        let supply = vec![0.5, 0.5];
-        let cost = vec![0.0, 10.0, 10.0, 0.0];
-        let mut arena = BatchTransport::new();
-        arena.solve(&supply, &[0.5, 0.5], &cost).unwrap();
-        // Extreme demand shift; whatever the inherited tree does, the
-        // answer must match a cold solve bit-for-bit if it fell back, or
-        // within contract if it warmed.
-        let warm = arena.solve(&supply, &[0.999, 0.001], &cost).unwrap();
-        let cold = TransportProblem::new(supply.clone(), vec![0.999, 0.001], cost.clone())
-            .unwrap()
-            .solve()
-            .unwrap();
-        assert!(
-            (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-            "warm {warm} vs cold {cold}"
-        );
-        let stats = arena.stats();
-        assert_eq!(stats.warm_hits + stats.fallbacks, 1, "{stats:?}");
     }
 
     #[test]
     fn rejects_malformed_inputs_like_transport_problem() {
         let mut arena = BatchTransport::new();
         assert!(matches!(
-            arena.solve(&[], &[1.0], &[]),
+            arena.solve_cold(&[], &[1.0], &[]),
             Err(EmdError::EmptyInput)
         ));
         assert!(matches!(
-            arena.solve(&[1.0], &[2.0], &[0.0]),
+            arena.solve_cold(&[1.0], &[2.0], &[0.0]),
             Err(EmdError::Unbalanced { .. })
         ));
         assert!(matches!(
-            arena.solve(&[-1.0], &[-1.0], &[0.0]),
+            arena.solve_cold(&[-1.0], &[-1.0], &[0.0]),
             Err(EmdError::InvalidWeight { .. })
         ));
-        // A failed solve must not seed a warm chain.
+        // A failed solve must not poison the arena.
         let (supply, demand, cost) = (vec![1.0], vec![1.0], vec![2.0]);
-        let v = arena.solve(&supply, &demand, &cost).unwrap();
+        let v = arena.solve_cold(&supply, &demand, &cost).unwrap();
         assert!((v - 2.0).abs() < 1e-12);
-    }
-
-    /// The roster invariant: anchors pairwise distinct and the inverse
-    /// index consistent — checked via the public surface only.
-    fn assert_bijective(side: &SideFrame, expected: &[usize]) {
-        let mut seen = std::collections::BTreeSet::new();
-        for &c in side.slots() {
-            assert!(seen.insert(c), "anchor {c} appears twice");
-        }
-        let mut want: Vec<usize> = expected.to_vec();
-        want.sort_unstable();
-        let mut got: Vec<usize> = side.slots().to_vec();
-        got.sort_unstable();
-        assert_eq!(got, want, "anchored cells differ from expectation");
-    }
-
-    #[test]
-    fn frame_reanchors_vacated_slots_without_growing() {
-        let mut frame = ChainFrame::default();
-        // Seed: both rosters rebuilt to the first link's cells.
-        assert!(frame.ensure_covers(&[2, 5, 9, 14], &[1, 3]));
-        assert_eq!(frame.side_a.slots(), &[2, 5, 9, 14]);
-        assert_eq!(frame.side_b.slots(), &[1, 3]);
-        // Same occupancy count, drifted cell set: cells 5 and 14 vacate,
-        // 6 and 11 arrive. No growth, so no shape change — and the
-        // re-anchoring is deterministic: ascending fresh cells take
-        // ascending vacated anchors (6 → slot of 5, 11 → slot of 14).
-        assert!(!frame.ensure_covers(&[2, 6, 9, 11], &[1, 3]));
-        assert_eq!(frame.side_a.slots(), &[2, 6, 9, 11]);
-        assert_bijective(&frame.side_a, &[2, 6, 9, 11]);
-        // Shrinking occupancy keeps the stale anchors in place (padded
-        // with zero mass) — still no shape change.
-        assert!(!frame.ensure_covers(&[6, 9], &[1, 3]));
-        assert_eq!(frame.side_a.slots(), &[2, 6, 9, 11]);
-        // A later link re-occupying a retained anchor reuses its slot.
-        assert!(!frame.ensure_covers(&[2, 6, 9, 11], &[1, 3]));
-        assert_eq!(frame.side_a.slots(), &[2, 6, 9, 11]);
-    }
-
-    #[test]
-    fn frame_growth_rebuilds_both_sides_unpadded() {
-        let mut frame = ChainFrame::default();
-        assert!(frame.ensure_covers(&[4, 8], &[0, 2, 7]));
-        // Side a drifts within its roster; side b needs a fourth slot.
-        // Growth on either side rebuilds BOTH rosters to exactly the
-        // current cells so the forced cold restart is unpadded.
-        assert!(frame.ensure_covers(&[3, 8], &[0, 2, 5, 7]));
-        assert_eq!(frame.side_a.slots(), &[3, 8]);
-        assert_eq!(frame.side_b.slots(), &[0, 2, 5, 7]);
-        assert_bijective(&frame.side_a, &[3, 8]);
-        assert_bijective(&frame.side_b, &[0, 2, 5, 7]);
-    }
-
-    #[test]
-    fn reset_chain_clears_the_frame() {
-        let mut arena = BatchTransport::new();
-        let mut frame = arena.take_chain_frame();
-        frame.ensure_covers(&[1, 2], &[3]);
-        arena.restore_chain_frame(frame);
-        arena.reset_chain();
-        let frame = arena.take_chain_frame();
-        assert_eq!(frame, ChainFrame::default());
-        arena.restore_chain_frame(frame);
     }
 
     #[test]

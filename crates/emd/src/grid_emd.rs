@@ -1,7 +1,5 @@
 use crate::signature::{quantize, scaled_signature, PatchedCloud};
-use crate::{
-    sinkhorn, BatchTransport, EmdError, Result, Signature, SignatureCache, SinkhornParams,
-};
+use crate::{sinkhorn, EmdError, Result, Signature, SignatureCache, SinkhornParams};
 use sd_stats::{sorted_union_columns, GridSpec};
 
 /// How cell-centre coordinates are scaled before computing ground
@@ -157,16 +155,7 @@ impl GridEmd {
         let scale = self.axis_scale(&spec);
         let sig_a = scaled_signature(qa.pairs, &scale)?;
         let qb = quantize(&spec, b);
-        self.solve_pair(
-            &spec,
-            &scale,
-            &sig_a,
-            qa.occupied,
-            qa.skipped,
-            qb,
-            None,
-            None,
-        )
+        self.solve_pair(&scale, &sig_a, qa.occupied, qa.skipped, qb)
     }
 
     /// Like [`GridEmd::distance`], but with the first cloud's quantization
@@ -187,16 +176,7 @@ impl GridEmd {
         let scale = self.axis_scale(&spec);
         let side = cache.side_for(&spec, &scale)?;
         let qb = quantize(&spec, b);
-        self.solve_pair(
-            &spec,
-            &scale,
-            &side.signature,
-            side.occupied,
-            side.skipped,
-            qb,
-            None,
-            None,
-        )
+        self.solve_pair(&scale, &side.signature, side.occupied, side.skipped, qb)
     }
 
     /// EMD between the cached cloud and a [`PatchedCloud`] counterpart
@@ -232,35 +212,6 @@ impl GridEmd {
     /// assert!(patched.emd > 0.0);
     /// ```
     pub fn distance_patched(&self, patched: &PatchedCloud<'_>) -> Result<GridEmdReport> {
-        self.patched_inner(patched, None)
-    }
-
-    /// Like [`GridEmd::distance_patched`], but the exact solve runs on a
-    /// caller-provided [`BatchTransport`] arena, warm-starting from the
-    /// arena's previous solve (the optimizer's candidate-re-scoring loop,
-    /// the cost sweep's fraction ladder). On dense grids the instance is
-    /// *padded onto the arena's chain frame* — the union of the cells any
-    /// link of the chain has occupied, absent cells carrying exactly-zero
-    /// mass — so consecutive solves share a shape even as cleaning
-    /// re-grids the clouds and their occupied-cell sets drift; the warm
-    /// basis then survives the whole ladder and only genuinely new cells
-    /// restart it ([`BatchTransport::solve_chained`]). The result obeys
-    /// the batch module's warm-vs-cold objective contract
-    /// (≤ `1e-9 · (1 + |cold|)`) rather than the bit-identity
-    /// `distance_patched` guarantees.
-    pub fn distance_patched_with(
-        &self,
-        patched: &PatchedCloud<'_>,
-        transport: &mut BatchTransport,
-    ) -> Result<GridEmdReport> {
-        self.patched_inner(patched, Some(transport))
-    }
-
-    fn patched_inner(
-        &self,
-        patched: &PatchedCloud<'_>,
-        transport: Option<&mut BatchTransport>,
-    ) -> Result<GridEmdReport> {
         let cache = patched.cache();
         if cache.rows().is_empty() {
             return Err(EmdError::EmptyInput);
@@ -270,23 +221,7 @@ impl GridEmd {
         let scale = self.axis_scale(&spec);
         let side = cache.side_for(&spec, &scale)?;
         let qb = patched.quantize_on(&spec, &side.quant);
-        // Padded chaining needs the dirty side's occupied cell ids (flat
-        // dense-histogram indices); on sparse grids they are unavailable
-        // and the chained solve degrades to the unpadded direct form.
-        let cells_a = match &transport {
-            Some(_) => occupied_cells(&side.quant),
-            None => None,
-        };
-        self.solve_pair(
-            &spec,
-            &scale,
-            &side.signature,
-            side.occupied,
-            side.skipped,
-            qb,
-            transport,
-            cells_a,
-        )
+        self.solve_pair(&scale, &side.signature, side.occupied, side.skipped, qb)
     }
 
     /// The grid spec for pre-sorted per-axis union columns, under this
@@ -348,63 +283,30 @@ impl GridEmd {
 
     /// Shared back half of the pipeline: solve the transportation problem
     /// between the prepared `a` side and the quantized `b` side. Exact
-    /// solves run on a [`BatchTransport`] arena: the caller's (may
-    /// warm-start; see [`GridEmd::distance_patched_with`]) or, when
-    /// `transport` is `None`, this thread's shared cold arena — pure
-    /// allocation reuse, bit-identical to a standalone
-    /// [`crate::TransportProblem`] solve.
-    ///
-    /// With an arena *and* dense occupied-cell ids for both sides, the
-    /// exact solve is **padded onto the arena's chain frame** (the union
-    /// of cells any link of the chain has occupied): absent cells carry
-    /// exactly-zero mass, which leaves the optimum unchanged but keeps
-    /// the instance shape stable across a fraction ladder, so the warm
-    /// basis survives links whose occupied-cell sets drift.
-    #[allow(clippy::too_many_arguments)] // one shared back half for three front halves
+    /// solves run on this thread's shared cold arena — pure allocation
+    /// reuse, bit-identical to a standalone [`crate::TransportProblem`]
+    /// solve.
     fn solve_pair(
         &self,
-        spec: &GridSpec,
         scale: &[f64],
         sig_a: &Signature,
         occupied_a: usize,
         skipped_a: usize,
         qb: crate::signature::CloudQuant,
-        transport: Option<&mut BatchTransport>,
-        cells_a: Option<Vec<usize>>,
     ) -> Result<GridEmdReport> {
         if qb.total == 0.0 {
             return Err(EmdError::EmptyInput);
         }
         let occupied_b = qb.occupied;
         let skipped_b = qb.skipped;
-        let cells_b = match &transport {
-            Some(_) => occupied_cells(&qb),
-            None => None,
-        };
         let sig_b = scaled_signature(qb.pairs, scale)?;
 
-        // The exact-vs-approximate decision reads the *unpadded* cell
-        // product, so warm and cold modes always pick the same solver for
-        // a given logical instance.
         let exact = sig_a.len() * sig_b.len() <= self.max_exact_cells;
         let emd = if exact {
             let wa = sig_a.normalized_weights();
             let wb = sig_b.normalized_weights();
-            match transport {
-                Some(arena) => match (cells_a, cells_b) {
-                    (Some(ca), Some(cb)) => {
-                        solve_exact_padded(arena, spec, scale, sig_a, &ca, &sig_b, &cb, &wa, &wb)?
-                    }
-                    _ => {
-                        let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-                        arena.solve_chained(&wa, &wb, &cost)?
-                    }
-                },
-                None => {
-                    let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-                    crate::batch::with_cold_arena(|arena| arena.solve_cold(&wa, &wb, &cost))?
-                }
-            }
+            let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
+            crate::batch::with_cold_arena(|arena| arena.solve_cold(&wa, &wb, &cost))?
         } else {
             let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
             // Debiased Sinkhorn divergence: the raw entropic cost has a
@@ -435,114 +337,6 @@ impl GridEmd {
             },
         })
     }
-}
-
-/// One padded chained solve: embed both signatures into the arena's chain
-/// frame (a fixed slot roster per side — see [`crate::ChainFrame`]), pad
-/// every slot the link does not occupy with exactly-zero mass, and hand
-/// the fixed-shape instance to
-/// [`BatchTransport::solve_chained`].
-///
-/// Zero-mass padding is sound because a zero marginal forces zero flow on
-/// every incident arc in every *feasible* solution — the primal simplex
-/// never leaves the feasible region — so the padded optimum equals the
-/// unpadded one exactly; only the floating-point pivot order differs,
-/// which the chained objective contract (`1e-9·(1+|cold|)`) already
-/// covers. A cell the roster has not seen first re-anchors a vacated
-/// slot (a cost perturbation, no shape change); only when the link
-/// occupies more cells than the roster holds does the frame grow, the
-/// shape change, and the chained solve restart cold — the chain then
-/// resumes from the next link.
-#[allow(clippy::too_many_arguments)] // splits one oversized solve_pair branch
-fn solve_exact_padded(
-    arena: &mut BatchTransport,
-    spec: &GridSpec,
-    scale: &[f64],
-    sig_a: &Signature,
-    cells_a: &[usize],
-    sig_b: &Signature,
-    cells_b: &[usize],
-    wa: &[f64],
-    wb: &[f64],
-) -> Result<f64> {
-    let mut frame = arena.take_chain_frame();
-    frame.ensure_covers(cells_a, cells_b);
-    let pa = padded_points(spec, scale, frame.side_a.slots(), cells_a, sig_a);
-    let pb = padded_points(spec, scale, frame.side_b.slots(), cells_b, sig_b);
-    let wa_pad = padded_weights(frame.side_a.slots(), cells_a, wa);
-    let wb_pad = padded_weights(frame.side_b.slots(), cells_b, wb);
-    let cost = crate::ground_distance_matrix(&pa, &pb);
-    let solved = arena.solve_chained(&wa_pad, &wb_pad, &cost);
-    arena.restore_chain_frame(frame);
-    solved
-}
-
-/// Ascending flat cell ids of a dense quantization's occupied cells
-/// (`None` on sparse grids, where the padded chain is unavailable). The
-/// filter matches `dense_quant`'s, so the ids parallel the signature's
-/// pair order.
-fn occupied_cells(quant: &crate::signature::CloudQuant) -> Option<Vec<usize>> {
-    let counts = quant.counts.as_ref()?;
-    Some(
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0.0)
-            .map(|(i, _)| i)
-            .collect(),
-    )
-}
-
-/// Scatters per-cell weights into their anchored slots; every other slot
-/// is exactly zero. After `ensure_covers`, each of the ascending `cells`
-/// (with `w` parallel) is the anchor of exactly one slot.
-fn padded_weights(slots: &[usize], cells: &[usize], w: &[f64]) -> Vec<f64> {
-    let mut covered = 0;
-    let out = slots
-        .iter()
-        .map(|anchor| match cells.binary_search(anchor) {
-            Ok(j) => {
-                covered += 1;
-                w[j]
-            }
-            Err(_) => 0.0,
-        })
-        .collect();
-    debug_assert_eq!(covered, cells.len(), "signature cells not anchored");
-    out
-}
-
-/// Scaled centre coordinates for every slot: the signature's own points
-/// for slots anchored to occupied cells (bit-identical to the unpadded
-/// instance), freshly decoded centres for zero-mass padding slots.
-fn padded_points(
-    spec: &GridSpec,
-    scale: &[f64],
-    slots: &[usize],
-    cells: &[usize],
-    sig: &Signature,
-) -> Vec<Vec<f64>> {
-    let dims: Vec<usize> = spec.axes().iter().map(|ax| ax.bins).collect();
-    let mut out = Vec::with_capacity(slots.len());
-    let mut cell = vec![0u32; dims.len()];
-    for &anchor in slots {
-        match cells.binary_search(&anchor) {
-            Ok(j) => out.push(sig.points()[j].clone()),
-            Err(_) => {
-                let mut rem = anchor;
-                for (k, &bins) in dims.iter().enumerate().rev() {
-                    cell[k] = (rem % bins) as u32;
-                    rem /= bins;
-                }
-                let mut p = spec.center_of(&cell);
-                for (x, s) in p.iter_mut().zip(scale) {
-                    *x /= s;
-                }
-                out.push(p);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -732,53 +526,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chained_ladder_warms_across_drifting_edits() {
-        // A fraction ladder in miniature: one dirty cloud, a growing edit
-        // set (cleaning more rows at each link), every link scored on ONE
-        // arena via `distance_patched_with`. The occupied-cell sets drift
-        // link to link, so this exercises the chain frame's re-anchoring
-        // (and its growth → unpadded-rebuild path) end to end. Contract:
-        // each chained result stays within `1e-9·(1+|cold|)` of the
-        // bit-exact unchained pipeline, and the chain must actually warm —
-        // otherwise the padding machinery is dead weight.
-        let dirty: Vec<Vec<f64>> = (0..120)
-            .map(|i| {
-                let x = (i as f64 * 0.61).sin() * 9.0;
-                let y = (i as f64 * 0.17).cos() * 4.0 + (i % 7) as f64;
-                vec![x, y]
-            })
-            .collect();
-        let cache = SignatureCache::new(dirty.clone());
-        let g = GridEmd::new(8);
-        let mut arena = BatchTransport::new();
-        for step in 1..=10usize {
-            // Link `step` cleans rows 0..12·step toward a common target.
-            let edits: Vec<(usize, Vec<f64>)> = (0..12 * step)
-                .map(|r| (r, vec![r as f64 * 0.05, 2.0 + (r % 3) as f64 * 0.4]))
-                .collect();
-            let patched = PatchedCloud::new(&cache, edits);
-            let cold = g.distance_patched(&patched).unwrap();
-            let warm = g.distance_patched_with(&patched, &mut arena).unwrap();
-            assert_eq!(cold.solver, SolverUsed::Simplex);
-            assert_eq!(warm.solver, cold.solver);
-            assert_eq!(warm.occupied_a, cold.occupied_a);
-            assert_eq!(warm.occupied_b, cold.occupied_b);
-            assert!(
-                (warm.emd - cold.emd).abs() <= 1e-9 * (1.0 + cold.emd.abs()),
-                "step {step}: chained {} vs cold {}",
-                warm.emd,
-                cold.emd
-            );
-        }
-        let stats = arena.stats();
-        assert!(stats.solves >= 10, "{stats:?}");
-        assert!(
-            stats.warm_hits > 0,
-            "chain never warmed across the ladder: {stats:?}"
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod signature;
 mod sinkhorn;
 mod transport;
 
-pub use batch::{BatchStats, BatchTransport, ChainFrame, SideFrame};
+pub use batch::BatchTransport;
 pub use emd1d::{emd_1d_histograms, emd_1d_samples, emd_1d_weighted};
 pub use error::EmdError;
 pub use flow::MinCostFlow;

@@ -1,4 +1,3 @@
-use crate::batch::BatchTransport;
 use crate::{EmdError, Result};
 use parking_lot::Mutex;
 use sd_stats::{sorted_union_columns, GridHistogram, GridSpec};
@@ -291,9 +290,6 @@ pub struct SignatureCache {
     rows: Vec<Vec<f64>>,
     sorted_columns: Vec<Vec<f64>>,
     memo: Mutex<Vec<Arc<CachedSide>>>,
-    /// Pool of batch-transport arenas for callers that chain many exact
-    /// solves against this cache (see [`SignatureCache::with_transport`]).
-    transports: Mutex<Vec<BatchTransport>>,
 }
 
 impl SignatureCache {
@@ -306,23 +302,7 @@ impl SignatureCache {
             rows,
             sorted_columns,
             memo: Mutex::new(Vec::new()),
-            transports: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Runs `f` with a [`BatchTransport`] arena checked out of this
-    /// cache's pool (created on first use, recycled afterwards — the
-    /// engine's strategy/candidate loops reuse one allocation set per
-    /// concurrent caller). The arena's warm chain is reset at checkout,
-    /// so the outcome depends only on the solves `f` itself performs:
-    /// pool checkout order across threads cannot leak state between
-    /// callers, keeping engine results deterministic.
-    pub fn with_transport<R>(&self, f: impl FnOnce(&mut BatchTransport) -> R) -> R {
-        let mut arena = self.transports.lock().pop().unwrap_or_default();
-        arena.reset_chain();
-        let out = f(&mut arena);
-        self.transports.lock().push(arena);
-        out
     }
 
     /// The cached cloud.

@@ -129,9 +129,8 @@ pub(crate) fn northwest_corner_into(
 
 /// Runs the MODI pivot loop to optimality on a built basis tree and its
 /// matching basic flow — the shared core of [`TransportProblem::solve`]
-/// and the batch arena's cold and warm paths (identical constants,
-/// pricing, and pivot order, so the cold batch path is bit-identical to
-/// a standalone solve).
+/// and the batch arena (identical constants, pricing, and pivot order, so
+/// the batch path is bit-identical to a standalone solve).
 pub(crate) fn run_simplex(
     n: usize,
     m: usize,

@@ -60,11 +60,12 @@ impl<T> BottomKSketch<T> {
         let pos = self.entries.partition_point(|&(r, _, _)| r <= rank);
         self.entries.insert(pos, (rank, weight, item));
         if self.entries.len() > self.k {
-            let (evicted_rank, _, _) = self.entries.pop().expect("len > k");
-            self.threshold = Some(match self.threshold {
-                Some(t) => t.min(evicted_rank),
-                None => evicted_rank,
-            });
+            if let Some((evicted_rank, _, _)) = self.entries.pop() {
+                self.threshold = Some(match self.threshold {
+                    Some(t) => t.min(evicted_rank),
+                    None => evicted_rank,
+                });
+            }
         }
     }
 

@@ -54,9 +54,10 @@ impl<T> PrioritySampler<T> {
         let pos = self.entries.partition_point(|&(p, _, _)| p >= priority);
         self.entries.insert(pos, (priority, weight, item));
         if self.entries.len() > self.k {
-            let (evicted, _, _) = self.entries.pop().expect("len > k");
-            self.threshold = self.threshold.max(evicted);
-            self.overflowed = true;
+            if let Some((evicted, _, _)) = self.entries.pop() {
+                self.threshold = self.threshold.max(evicted);
+                self.overflowed = true;
+            }
         }
     }
 

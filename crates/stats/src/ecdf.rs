@@ -78,8 +78,7 @@ pub fn ks_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
     let (n, m) = (a.len() as f64, b.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut sup: f64 = 0.0;
-    while i < a.len() || j < b.len() {
-        let x = next_pooled_value(a, b, i, j);
+    while let Some(x) = next_pooled_value(a, b, i, j) {
         while i < a.len() && same_group(a[i], x) {
             i += 1;
         }
@@ -100,19 +99,13 @@ fn same_group(v: f64, x: f64) -> bool {
 }
 
 /// The smallest (by the `total_cmp` sort order) not-yet-consumed pooled
-/// value during a two-sample merge walk.
-fn next_pooled_value(a: &[f64], b: &[f64], i: usize, j: usize) -> f64 {
+/// value during a two-sample merge walk, or `None` once both samples are
+/// consumed.
+fn next_pooled_value(a: &[f64], b: &[f64], i: usize, j: usize) -> Option<f64> {
     match (a.get(i), b.get(j)) {
-        (Some(&x), Some(&y)) => {
-            if x.total_cmp(&y).is_le() {
-                x
-            } else {
-                y
-            }
-        }
-        (Some(&x), None) => x,
-        (None, Some(&y)) => y,
-        (None, None) => unreachable!("caller guards non-empty remainder"),
+        (Some(&x), Some(&y)) => Some(if x.total_cmp(&y).is_le() { x } else { y }),
+        (Some(&x), None) => Some(x),
+        (None, y) => y.copied(),
     }
 }
 
@@ -134,8 +127,7 @@ pub fn cvm_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
     let (n, m) = (a.len() as f64, b.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut sum = 0.0f64;
-    while i < a.len() || j < b.len() {
-        let x = next_pooled_value(a, b, i, j);
+    while let Some(x) = next_pooled_value(a, b, i, j) {
         let mut count = 0usize;
         while i < a.len() && same_group(a[i], x) {
             i += 1;

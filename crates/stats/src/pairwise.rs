@@ -95,11 +95,7 @@ impl SumTree {
             for &p in &parents {
                 let mut sum = vec![0.0f64; self.dims];
                 for child in [2 * p, 2 * p + 1] {
-                    let values = match overlay.get(&child) {
-                        Some(v) => v.as_slice(),
-                        None => &self.nodes[child * self.dims..(child + 1) * self.dims],
-                    };
-                    for (s, x) in sum.iter_mut().zip(values) {
+                    for (s, x) in sum.iter_mut().zip(self.node_with(&overlay, child)) {
                         *s += x;
                     }
                 }
@@ -107,7 +103,16 @@ impl SumTree {
             }
             frontier = parents;
         }
-        overlay.remove(&1).expect("root reached")
+        self.node_with(&overlay, 1).to_vec()
+    }
+
+    /// Node `i`'s value: its re-summed value from `overlay` when an edit
+    /// reached it, the stored one otherwise.
+    fn node_with<'a>(&'a self, overlay: &'a BTreeMap<usize, Vec<f64>>, i: usize) -> &'a [f64] {
+        match overlay.get(&i) {
+            Some(v) => v,
+            None => &self.nodes[i * self.dims..(i + 1) * self.dims],
+        }
     }
 }
 

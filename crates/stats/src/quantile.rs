@@ -39,19 +39,12 @@ pub fn select_sorted_pair(a: &[f64], b: &[f64], k: usize) -> f64 {
     }
     let i = lo;
     let j = k - i;
-    let next_a = (i < a.len()).then(|| a[i]);
-    let next_b = (j < b.len()).then(|| b[j]);
-    match (next_a, next_b) {
-        (Some(x), Some(y)) => {
-            if x.total_cmp(&y).is_le() {
-                x
-            } else {
-                y
-            }
-        }
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => unreachable!("k < a.len() + b.len()"),
+    // `i + j = k < a.len() + b.len()`, so when `a` is exhausted `b[j]`
+    // exists.
+    if i < a.len() && (j == b.len() || a[i].total_cmp(&b[j]).is_le()) {
+        a[i]
+    } else {
+        b[j]
     }
 }
 

@@ -82,7 +82,6 @@ fn main() {
         experiment,
         fractions: vec![0.0, 0.2, 0.5, 1.0],
         strategies: vec![paper_strategy(1)],
-        transport: TransportMode::Cold,
     };
     let points = cost_sweep(&data, &sweep).expect("cost sweep");
     println!("\ncost sweep (strategy 1 = winsorize + impute):");

@@ -166,7 +166,6 @@ fn cost_sweep_monotone_in_fraction() {
         experiment: config,
         fractions: vec![0.0, 0.5, 1.0],
         strategies: vec![paper_strategy(5)],
-        transport: TransportMode::Cold,
     };
     let points = cost_sweep(&data, &sweep).unwrap();
     // The engine sweep must match the preserved replication-granular

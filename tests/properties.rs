@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 use statistical_distortion::emd::{
-    emd, emd_1d_weighted, ground_distance_matrix, BatchTransport, MinCostFlow, Signature,
-    TransportProblem,
+    emd, emd_1d_weighted, ground_distance_matrix, MinCostFlow, Signature, TransportProblem,
 };
 use statistical_distortion::glitch::{GlitchIndex, GlitchMatrix, GlitchType, GlitchWeights};
 use statistical_distortion::stats::{quantile, sorted_present, Ecdf};
@@ -245,109 +244,6 @@ proptest! {
             .unwrap();
         let via_flow = MinCostFlow::new(supply, demand, cost).unwrap().solve().unwrap();
         prop_assert!((via_simplex - via_flow).abs() < 1e-7, "{via_simplex} vs {via_flow}");
-    }
-
-    #[test]
-    fn warm_batch_transport_matches_cold_solves(
-        supply in prop::collection::vec(1u8..=4, 2..10),
-        demand in prop::collection::vec(1u8..=4, 2..10),
-        seed in 0u64..1000,
-    ) {
-        // A warm-started `BatchTransport` chain over one fixed dirty
-        // signature and a drifting cleaned signature — the engine's batch
-        // shape — must match independent cold solves within the documented
-        // objective contract, `1e-9 · (1 + |cold|)`. Small-integer masses
-        // make degenerate duplicate-mass instances (ties, zero basic
-        // flows), the regime that historically broke pivots; infeasible
-        // inherited bases must fall back to a cold solve cleanly rather
-        // than erroring.
-        let st: f64 = supply.iter().map(|&x| x as f64).sum();
-        let dt: f64 = demand.iter().map(|&x| x as f64).sum();
-        let supply: Vec<f64> = supply.iter().map(|&x| x as f64 / st).collect();
-        let mut demand: Vec<f64> = demand.iter().map(|&x| x as f64 / dt).collect();
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        let cost: Vec<f64> = (0..supply.len() * demand.len())
-            .map(|_| (next() * 3.0).floor())
-            .collect();
-        let mut batch = BatchTransport::new();
-        for round in 0..6 {
-            if round > 0 {
-                // Drift the cleaned masses: move a slice of demand between
-                // two cells (keeps totals balanced, support identical —
-                // the warm-startable shape). Every other round drifts by
-                // zero, an exact duplicate of the previous instance.
-                let a = (next() * demand.len() as f64) as usize % demand.len();
-                let b = (next() * demand.len() as f64) as usize % demand.len();
-                let slice = if round % 2 == 0 { demand[a] * 0.25 } else { 0.0 };
-                demand[a] -= slice;
-                demand[b] += slice;
-            }
-            let warm = batch.solve(&supply, &demand, &cost).unwrap();
-            let cold = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
-                .unwrap()
-                .solve()
-                .unwrap();
-            prop_assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
-            );
-        }
-        let stats = batch.stats();
-        prop_assert_eq!(stats.solves, 6);
-        prop_assert_eq!(stats.warm_hits + stats.fallbacks, 5, "{:?}", stats);
-    }
-
-    #[test]
-    fn chained_grid_ladder_matches_unchained_within_contract(
-        seed in 0u64..10_000,
-        links in 2usize..8,
-    ) {
-        // A random fraction ladder through the grid pipeline's chained
-        // entry point: link k cleans the first k·(rows/links) rows of a
-        // random dirty cloud toward a fixed target, every link scored on
-        // ONE warm arena. The occupied-cell sets drift link to link —
-        // the chain frame re-anchors or rebuilds as needed — and every
-        // chained result must stay within the warm objective contract of
-        // the bit-exact unchained pipeline.
-        use statistical_distortion::emd::{GridEmd, PatchedCloud, SignatureCache};
-
-        let rows = 60usize;
-        let base = kernel_cloud(seed, rows);
-        let target = kernel_cloud(seed ^ 0x00C1_EA17, rows);
-        let cache = SignatureCache::new(base.clone());
-        let g = GridEmd::new(7);
-        let mut arena = BatchTransport::new();
-        for link in 1..=links {
-            let cleaned = (rows * link / links).max(1);
-            let edits: Vec<(usize, Vec<f64>)> = target
-                .iter()
-                .take(cleaned)
-                .cloned()
-                .enumerate()
-                .collect();
-            let patched = PatchedCloud::new(&cache, edits);
-            let cold = g.distance_patched(&patched);
-            let warm = g.distance_patched_with(&patched, &mut arena);
-            match (cold, warm) {
-                (Ok(c), Ok(w)) => {
-                    prop_assert_eq!(c.solver, w.solver, "link {}", link);
-                    prop_assert!(
-                        (w.emd - c.emd).abs() <= 1e-9 * (1.0 + c.emd.abs()),
-                        "link {}: chained {} vs cold {}", link, w.emd, c.emd
-                    );
-                }
-                (Err(_), Err(_)) => {} // both paths reject (e.g. all-NaN edits)
-                (cold, warm) => prop_assert!(
-                    false,
-                    "link {}: one path failed, the other did not ({:?} vs {:?})",
-                    link, cold, warm
-                ),
-            }
-        }
     }
 }
 
