@@ -10,9 +10,6 @@
 //! | `SD_REPLICATIONS`  | replications `R`                         | `50`      |
 //! | `SD_SEED`          | base RNG seed                            | `42`      |
 //! | `SD_THREADS`       | worker threads (0 = auto)                | `0`       |
-//! | `SD_SHARDS`        | streaming-service ingestion shards       | `4`       |
-//! | `SD_NODES`         | streaming node-count override (0 = scale default) | `0` |
-//! | `SD_EVALUATORS`    | streaming evaluator-pool size            | `4`       |
 //! | `SD_OUT`           | directory for JSON artifacts (optional)  | unset     |
 //!
 //! Binaries print human-readable rows (the same rows/series the paper
@@ -20,7 +17,7 @@
 //! JSON next to them so `EXPERIMENTS.md` numbers are regenerable.
 
 #![forbid(unsafe_code)]
-use sd_data::{Dataset, Topology};
+use sd_data::Dataset;
 use sd_netsim::{generate, NetsimConfig};
 use std::path::PathBuf;
 
@@ -66,15 +63,6 @@ pub struct HarnessConfig {
     pub seed: u64,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Ingestion shards for the streaming-service rows.
-    pub shards: usize,
-    /// Streaming node-count override: when nonzero, streaming rows are
-    /// drawn from a topology resized to approximately this many sectors
-    /// (see [`HarnessConfig::streaming_netsim_config`]) instead of the
-    /// scale's default — the 10⁴–10⁵-node serving regime.
-    pub nodes: usize,
-    /// Evaluator-pool size for the pipelined streaming rows.
-    pub evaluators: usize,
     /// Optional JSON artifact directory.
     pub out_dir: Option<PathBuf>,
 }
@@ -102,9 +90,6 @@ impl HarnessConfig {
             replications: parse_usize("SD_REPLICATIONS", 50),
             seed,
             threads: parse_usize("SD_THREADS", 0),
-            shards: parse_usize("SD_SHARDS", 4),
-            nodes: parse_usize("SD_NODES", 0),
-            evaluators: parse_usize("SD_EVALUATORS", 4),
             out_dir: std::env::var("SD_OUT").ok().map(PathBuf::from),
         }
     }
@@ -122,25 +107,6 @@ impl HarnessConfig {
             self.replications,
         );
         generate(&config).dataset
-    }
-
-    /// The netsim configuration the streaming rows are drawn from: the
-    /// scale's default, unless `SD_NODES` asks for a specific serving
-    /// fleet size. An override resizes the topology to at least `nodes`
-    /// sectors (5 sectors per tower, up to 50 towers per RNC — the
-    /// serving-regime shape) and bounds the horizon at 60 steps so
-    /// 10⁴–10⁵-node runs scale in nodes, not in rows per node.
-    pub fn streaming_netsim_config(&self) -> NetsimConfig {
-        let mut config = self.scale.netsim_config(self.seed);
-        if self.nodes > 0 {
-            let sectors_per_tower = 5u32;
-            let towers = self.nodes.div_ceil(sectors_per_tower as usize).max(1) as u32;
-            let rncs = towers.div_ceil(50).max(1);
-            let towers_per_rnc = towers.div_ceil(rncs);
-            config.topology = Topology::new(rncs, towers_per_rnc, sectors_per_tower);
-            config.series_len = config.series_len.min(60);
-        }
-        config
     }
 
     /// Writes a JSON artifact when `SD_OUT` is configured.
@@ -163,69 +129,6 @@ impl HarnessConfig {
             }
             Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
         }
-    }
-}
-
-/// Deterministic synthetic inputs shared by the criterion benches and the
-/// `perf` bin, so both measure the same instances and their numbers stay
-/// comparable PR-over-PR.
-pub mod synth {
-    /// Deterministic pseudo-random stream (an LCG; no external RNG so the
-    /// benches stay independent of the vendored `rand` shim's bit stream).
-    pub fn lcg(seed: u64) -> impl FnMut() -> f64 {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        }
-    }
-
-    /// A random balanced `n × m` transportation instance: unit-mass
-    /// supply/demand vectors and costs in `[0, 10)`.
-    pub fn transport_instance(n: usize, m: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let mut next = lcg(seed);
-        let mut supply: Vec<f64> = (0..n).map(|_| 0.05 + next()).collect();
-        let mut demand: Vec<f64> = (0..m).map(|_| 0.05 + next()).collect();
-        let st: f64 = supply.iter().sum();
-        let dt: f64 = demand.iter().sum();
-        supply.iter_mut().for_each(|x| *x /= st);
-        demand.iter_mut().for_each(|x| *x /= dt);
-        let cost: Vec<f64> = (0..n * m).map(|_| next() * 10.0).collect();
-        (supply, demand, cost)
-    }
-
-    /// A random 3-attribute point cloud for the grid pipeline, shifted by
-    /// `offset` on the first axis.
-    pub fn grid_cloud(points: usize, seed: u64, offset: f64) -> Vec<Vec<f64>> {
-        let mut next = lcg(seed);
-        (0..points)
-            .map(|_| vec![next() * 100.0 + offset, next() * 10.0, next()])
-            .collect()
-    }
-
-    /// The canonical grid-pipeline instance: both clouds drawn from **one**
-    /// LCG stream seeded with `seed` (the second cloud continues where the
-    /// first stopped, then shifts by `offset` on the first axis).
-    ///
-    /// Pinned so the `grid` perf row is like-for-like PR-over-PR: PR 1
-    /// continued the stream while PR 2 briefly drew the second cloud from
-    /// an independent seed, which made the PR1→PR2 grid delta noise.
-    pub fn grid_cloud_pair(
-        points: usize,
-        seed: u64,
-        offset: f64,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut next = lcg(seed);
-        let mut cloud = |shift: f64| -> Vec<Vec<f64>> {
-            (0..points)
-                .map(|_| vec![next() * 100.0 + shift, next() * 10.0, next()])
-                .collect()
-        };
-        let a = cloud(0.0);
-        let b = cloud(offset);
-        (a, b)
     }
 }
 
@@ -270,32 +173,5 @@ mod tests {
     fn scale_labels() {
         assert_eq!(Scale::Small.label(), "small");
         assert_eq!(Scale::Paper.netsim_config(1).num_series(), 20_000);
-    }
-
-    #[test]
-    fn node_override_resizes_streaming_topology() {
-        let mut harness = HarnessConfig {
-            scale: Scale::Harness,
-            replications: 1,
-            seed: 7,
-            threads: 0,
-            shards: 4,
-            nodes: 0,
-            evaluators: 4,
-            out_dir: None,
-        };
-        // No override: the scale's default shape, untouched horizon.
-        let base = harness.streaming_netsim_config();
-        assert_eq!(base.num_series(), 1_000);
-        assert_eq!(base.series_len, 170);
-        // Override: at least the requested sectors, bounded horizon.
-        for nodes in [100, 10_000, 100_000] {
-            harness.nodes = nodes;
-            let sized = harness.streaming_netsim_config();
-            assert!(sized.num_series() >= nodes);
-            assert!(sized.num_series() < nodes + 300);
-            assert_eq!(sized.series_len, 60);
-            assert_eq!(sized.seed, 7);
-        }
     }
 }

@@ -7,8 +7,8 @@ use std::collections::BinaryHeap;
 ///
 /// **Cross-validator.** This solver is structurally independent of the
 /// transportation simplex, and exists to cross-validate it on random
-/// instances (`TransportProblem`'s corpus test, the
-/// `simplex_matches_flow_solver` property, the perf bin's `flow` row).
+/// instances (`TransportProblem`'s corpus test and the
+/// `simplex_matches_flow_solver` property).
 /// It exploits the network's fixed shape instead of a generic edge list:
 /// supplies and demands live in flat residual vectors (no super-source /
 /// super-sink nodes), forward arcs `row → col` are the contiguous cost

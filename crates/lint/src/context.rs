@@ -125,10 +125,12 @@ fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
                 i = close + 1;
                 continue;
             }
-            if is_punct(&tokens[i], ";") {
+            if is_punct(&tokens[i], ";") || is_punct(&tokens[i], "}") {
                 // `#[cfg(test)] mod tests;` — out-of-line test module; the
                 // span cannot be tracked here (and the workspace keeps test
-                // modules inline), so just stop carrying the attribute.
+                // modules inline), so just stop carrying the attribute. A
+                // `}` first means the attribute sat on a field, which ends
+                // with its struct; the next block is not its body.
                 pending = false;
             }
         }
@@ -261,6 +263,14 @@ mod tests {
         // whole file; only outer item attributes open regions.
         let c = ctx("#![allow(clippy::test)]\nfn live() {}\n");
         assert!(!c.in_test(2));
+    }
+
+    #[test]
+    fn cfg_test_field_does_not_mark_the_next_item() {
+        // A test-only field ends at its struct's `}`; the `impl` after it
+        // is live code.
+        let src = "struct S {\n    #[cfg(test)]\n    hook: u8,\n}\nimpl S {\n    fn live() {}\n}\n";
+        assert!(!ctx(src).in_test(6));
     }
 
     #[test]

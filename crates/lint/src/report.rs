@@ -1,6 +1,6 @@
 //! The machine-readable lint report (`lint-report.json`).
 //!
-//! Uploaded beside `BENCH_emd.json` in CI, so the lint trajectory —
+//! Uploaded as a CI artifact, so the lint trajectory —
 //! violations, per-crate P001 debt, and every accepted escape hatch — is
 //! inspectable PR-over-PR without rerunning the tool.
 

@@ -56,8 +56,8 @@ pub(super) fn check(input: RuleInput<'_>, diags: &mut Vec<Diagnostic>) {
                 input,
                 t,
                 format!("`{name}` reads the wall clock inside a compute path"),
-                "thread timing through sd-bench; result paths must be pure \
-                 functions of data and seed"
+                "time from outside the library (perfbench); result paths must \
+                 be pure functions of data and seed"
                     .into(),
             ));
         }

@@ -34,9 +34,10 @@ pub struct RuleInput<'a> {
     pub ctx: &'a FileContext,
 }
 
-/// The perf/bench harness: exempt from the determinism rules whose whole
-/// point it would defeat (it must read the clock, and nothing downstream
-/// consumes its iteration order).
+/// The figure/table reproduction crate: exempt from D001–D003, which
+/// guard the library's result paths; its bins only drive those paths and
+/// print what they return. Timing lives in `perfbench`, outside the
+/// workspace.
 pub const BENCH_CRATE: &str = "sd-bench";
 
 /// The files allowed to touch thread-spawn primitives: the
@@ -44,14 +45,9 @@ pub const BENCH_CRATE: &str = "sd-bench";
 /// compute path must route through; the serving layer's shard module,
 /// whose workers never fold floats across threads — every cross-thread
 /// value travels a channel and is assembled in series order by a single
-/// collector; and the serving layer's evaluator module, whose worker
-/// pool scores windows that share no mutable state and whose reorder
-/// stage republishes results strictly in window order.
-pub const APPROVED_PARALLEL_FILES: [&str; 3] = [
-    "crates/core/src/runner.rs",
-    "crates/serve/src/shard.rs",
-    "crates/serve/src/evaluator.rs",
-];
+/// collector and scored, in window order, by a single evaluator.
+pub const APPROVED_PARALLEL_FILES: [&str; 2] =
+    ["crates/core/src/runner.rs", "crates/serve/src/shard.rs"];
 
 /// Runs every rule over one file; returns raw findings (allow-directive
 /// suppression happens in [`crate::engine`]).

@@ -167,39 +167,6 @@ fn d004_fires_on_spawn_elsewhere_in_the_serve_crate() {
 }
 
 #[test]
-fn d004_approves_the_serve_evaluator_module() {
-    // The evaluator pool's spawn idiom — a loop of Builder-named workers
-    // with the P001 allow on the expect — is clean *in the approved
-    // evaluator module*.
-    let lint = lint_source(
-        "crates/serve/src/evaluator.rs",
-        "sd-serve",
-        include_str!("fixtures/evaluator_spawn_pass.rs"),
-    );
-    assert_eq!(lint.diagnostics, vec![]);
-    assert_eq!(lint.suppressed.len(), 1, "the P001 allow stays visible");
-    assert_eq!(lint.suppressed[0].rule, RuleId::P001);
-}
-
-#[test]
-fn d004_fires_on_a_worker_pool_outside_the_evaluator_module() {
-    // The identical pool idiom in any other module is a finding at the
-    // exact spawn token — approving evaluator.rs is not a blanket pass
-    // for worker pools.
-    let lint = lint_source(
-        "crates/serve/src/collector.rs",
-        "sd-serve",
-        include_str!("fixtures/evaluator_spawn_fail.rs"),
-    );
-    let got: Vec<_> = lint
-        .diagnostics
-        .iter()
-        .map(|d| (d.rule, d.line, d.col))
-        .collect();
-    assert_eq!(got, vec![(RuleId::D004, 9, 18)]);
-}
-
-#[test]
 fn d004_still_approves_the_runner_file() {
     // Extending the approved list must not un-approve the original
     // parallel_map site.

@@ -5,21 +5,19 @@
 //! vectors (series order, independent of shard count and scheduling).
 //! The moment a window is complete it is *dispatched* — in strict stream
 //! order, which per-shard FIFO delivery makes safe: a window can only be
-//! complete once every earlier window is — to the evaluator pool
-//! ([`crate::evaluator`]), which calibrates and scores it off the
-//! assembly thread and republishes results in window order. Splitting
-//! assembly from evaluation lets ingestion and kernel scoring overlap:
-//! the collector is back at its inbox while earlier windows are still
-//! being scored.
+//! complete once every earlier window is — to the evaluator thread
+//! ([`crate::evaluator`]), which calibrates, scores and publishes it off
+//! the assembly thread. Splitting assembly from evaluation lets ingestion
+//! and kernel scoring overlap: the collector is back at its inbox while
+//! the previous window is still being scored.
 
-use crate::evaluator::{DepthGauge, EvalJob};
+use crate::evaluator::EvalJob;
 use crate::ServeConfig;
 use parking_lot::Mutex;
 use sd_core::{FrameworkError, WindowOutcome, WindowScreen};
 use sd_data::{NodeId, TimeSeries};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
 
 /// What shards send the collector.
 pub(crate) enum CollectorMsg {
@@ -56,8 +54,8 @@ pub(crate) enum CollectorMsg {
     },
 }
 
-/// One completed window, published by the reorder stage the moment it is
-/// next in stream order — the live view of the stream's trajectory.
+/// One completed window, published by the evaluator in stream order — the
+/// live view of the stream's trajectory.
 #[derive(Debug, Clone)]
 pub struct WindowUpdate {
     /// Window index, in stream order.
@@ -69,9 +67,9 @@ pub struct WindowUpdate {
 }
 
 /// What the assembly thread accumulated by end of stream. Outcomes and
-/// screens live with the reorder stage now; the collector only knows how
-/// many windows it dispatched — the completeness bar the reorder stage's
-/// published count is checked against.
+/// screens live with the evaluator; the collector only knows how many
+/// windows it dispatched — the completeness bar the evaluator's published
+/// count is checked against.
 pub(crate) struct AssemblerOutput {
     pub rows: u64,
     pub high_water: usize,
@@ -100,7 +98,6 @@ pub(crate) struct Collector {
     config: ServeConfig,
     nodes: Vec<NodeId>,
     dispatch: SyncSender<EvalJob>,
-    depth: Arc<DepthGauge>,
     pending: BTreeMap<usize, Assembly>,
     next_dispatch: usize,
 }
@@ -110,13 +107,11 @@ impl Collector {
         config: ServeConfig,
         nodes: Vec<NodeId>,
         dispatch: SyncSender<EvalJob>,
-        depth: Arc<DepthGauge>,
     ) -> Self {
         Collector {
             config,
             nodes,
             dispatch,
-            depth,
             pending: BTreeMap::new(),
             next_dispatch: 0,
         }
@@ -126,7 +121,7 @@ impl Collector {
     /// windows eagerly and in order; then settles clipped/ragged tail
     /// windows from the reported stream lengths. Dropping `self` on
     /// return closes the dispatch channel, which is how the evaluator
-    /// workers learn the stream is over.
+    /// learns the stream is over.
     pub(crate) fn run(
         mut self,
         inbox: &Receiver<CollectorMsg>,
@@ -288,8 +283,8 @@ impl Collector {
         Ok(())
     }
 
-    /// Hands one assembled window to the evaluator pool; the bounded
-    /// dispatch channel is the pipeline's backpressure.
+    /// Hands one assembled window to the evaluator; the bounded dispatch
+    /// channel is the pipeline's backpressure.
     fn dispatch(&mut self, w: usize, slots: Vec<Option<TimeSeries>>) -> Result<(), FrameworkError> {
         let mut segments = Vec::with_capacity(slots.len());
         for (series, slot) in slots.into_iter().enumerate() {
@@ -302,12 +297,15 @@ impl Collector {
                 }
             }
         }
-        self.depth.on_dispatch();
-        if self.dispatch.send(EvalJob::new(w, segments)).is_err() {
-            // Every worker is gone (the pool only disconnects after a
-            // failure); `finish` will attribute the root cause.
+        let job = EvalJob {
+            window: w,
+            segments,
+        };
+        if self.dispatch.send(job).is_err() {
+            // The evaluator only hangs up after a failure; `finish` will
+            // attribute the root cause.
             return Err(FrameworkError::Internal(format!(
-                "the evaluator pool disconnected before window {w}"
+                "the evaluator disconnected before window {w}"
             )));
         }
         Ok(())
@@ -334,7 +332,7 @@ impl UpdateFeed {
     }
 
     /// Blocking: waits for the next completed window; `None` once the
-    /// reorder stage has hung up (end of stream or failure).
+    /// evaluator has hung up (end of stream or failure).
     pub(crate) fn next(&self) -> Option<WindowUpdate> {
         self.receiver.lock().recv().ok()
     }

@@ -25,18 +25,11 @@ pub struct ServeConfig {
     pub channel_capacity: usize,
     /// Attribute names of the arriving rows, in row order.
     pub attributes: Vec<String>,
-    /// Size of the evaluator-worker pool: how many
-    /// sealed windows may be calibrated and scored concurrently. The
-    /// reorder stage publishes strictly in window order, so every pool
-    /// size produces a bit-identical [`crate::StreamReport`]; larger
-    /// pools only overlap more evaluation with ingestion.
-    pub evaluators: usize,
-    /// Test hook: `(seed, max_us)` deterministic per-window sleep before
-    /// evaluating, to scramble completion order in pipelining tests.
-    pub(crate) eval_jitter: Option<(u64, u64)>,
-    /// Test hook: induce a panic in whichever worker picks up this
-    /// window, to exercise the fault path.
-    pub(crate) eval_panic_at: Option<usize>,
+    /// Test hook: panic the evaluator when it picks up this window, so a
+    /// fault test can prove a dead evaluator surfaces as
+    /// [`sd_core::FrameworkError::EvaluatorFailed`] instead of a hang.
+    #[cfg(test)]
+    pub(crate) panic_at: Option<usize>,
 }
 
 impl ServeConfig {
@@ -48,9 +41,8 @@ impl ServeConfig {
             shards: 4,
             channel_capacity: 256,
             attributes,
-            evaluators: 1,
-            eval_jitter: None,
-            eval_panic_at: None,
+            #[cfg(test)]
+            panic_at: None,
         }
     }
 
@@ -65,32 +57,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = capacity;
-        self
-    }
-
-    /// Sets the evaluator-pool size.
-    #[must_use]
-    pub fn with_evaluators(mut self, evaluators: usize) -> Self {
-        self.evaluators = evaluators;
-        self
-    }
-
-    /// Test hook: sleep each worker a deterministic, per-window number of
-    /// microseconds (at most `max_us`, derived from `seed ^ window`)
-    /// before evaluating, so pipelining tests can scramble completion
-    /// order without touching results.
-    #[must_use]
-    pub fn with_evaluation_jitter(mut self, seed: u64, max_us: u64) -> Self {
-        self.eval_jitter = Some((seed, max_us));
-        self
-    }
-
-    /// Test hook: panic the worker that picks up window `window`, so
-    /// fault tests can prove a dead evaluator surfaces as
-    /// [`sd_core::FrameworkError::EvaluatorFailed`] instead of a hang.
-    #[must_use]
-    pub fn with_evaluator_panic_at(mut self, window: usize) -> Self {
-        self.eval_panic_at = Some(window);
         self
     }
 
@@ -121,11 +87,6 @@ impl ServeConfig {
         if self.channel_capacity == 0 {
             return Err(FrameworkError::InvalidConfig(
                 "bounded channels need a positive capacity".into(),
-            ));
-        }
-        if self.evaluators == 0 {
-            return Err(FrameworkError::InvalidConfig(
-                "the evaluator pool needs at least one worker".into(),
             ));
         }
         if self.attributes.is_empty() {

@@ -1,394 +1,122 @@
-//! The pipelined window-evaluation stage: a bounded pool of evaluator
-//! workers plus a reorder stage that restores stream order.
+//! The window-evaluation stage: one evaluator thread behind the collector.
 //!
 //! The collector ([`crate::collector`]) assembles sealed windows and
-//! *dispatches* them here instead of scoring them inline, so ingestion,
-//! assembly, and kernel scoring overlap. The stage is three pieces wired
-//! by two channels:
-//!
-//! * a bounded **dispatch** channel (capacity = pool size) carrying
-//!   [`EvalJob`]s from the collector — backpressure, never an unbounded
-//!   backlog of materialized segments;
-//! * `evaluators` **worker** threads, each pulling the next job from a
-//!   shared receiver and running the same shared windowed pipeline the
-//!   serial collector ran ([`sd_core::calibrate_window`] +
-//!   [`sd_core::evaluate_window_artifacts`]);
-//! * one **reorder** thread that buffers out-of-order results and
-//!   publishes [`WindowUpdate`]s **strictly in window order**.
-//!
-//! # Why every pool size is bit-identical
-//!
-//! A window's evaluation is a pure function of `(windowed config, window
-//! index, segments)`: every RNG stream is derived from `(seed, window,
-//! strategy)`, never from scheduling, and windows share no mutable state.
-//! Pooling therefore only permutes *completion* order; the reorder stage
-//! restores *publication* order, so the assembled [`crate::StreamReport`]
-//! — and every live [`WindowUpdate`] — is bit-identical to pool size 1,
-//! which in turn equals the batch replay.
+//! *dispatches* them here, in window order, over a bounded channel of
+//! capacity 1, so ingestion and assembly overlap with kernel scoring. The
+//! evaluator runs each window through the shared windowed pipeline
+//! ([`sd_core::calibrate_window`] + [`sd_core::evaluate_window_artifacts`])
+//! and publishes its [`WindowUpdate`] directly. One FIFO consumer of an
+//! in-order channel publishes in window order by construction, so the
+//! report equals the batch replay bit for bit.
 //!
 //! # Failure containment
 //!
-//! A worker that hits a structured error sends it as its window's result;
-//! the reorder stage stops publishing when that window becomes next in
-//! line and returns the error. A worker that *panics* simply never
-//! delivers its window: the results channel disconnects once the stream
-//! closes and the surviving workers drain, the reorder stage returns with
-//! a gap, and [`crate::StreamingService::finish`] — which joins every
-//! worker — surfaces [`sd_core::FrameworkError::EvaluatorFailed`] instead
-//! of hanging.
+//! A structured evaluation error stops the stage: windows after a failed
+//! one are withheld, exactly as the batch path never evaluates past a
+//! failure. A *panicking* evaluator drops its job receiver, so the
+//! collector's next dispatch fails instead of blocking, and
+//! [`crate::StreamingService::finish`] — which joins the thread — surfaces
+//! [`sd_core::FrameworkError::EvaluatorFailed`] instead of hanging.
 //!
-//! Like [`crate::shard`], this module is one of sd-lint's approved
-//! thread-spawn sites (D004); all evaluator-stage threads are spawned
-//! here. Wall-clock reads (D003 allows below) feed only the
-//! [`WindowLag`] observability counters, never result values.
+//! The thread itself is spawned from [`crate::shard`], the serving
+//! layer's one approved spawn site (sd-lint D004).
 
 use crate::collector::WindowUpdate;
 use crate::ServeConfig;
-use parking_lot::Mutex;
 use sd_cleaning::CompositeStrategy;
 use sd_core::{
     calibrate_window, evaluate_window_artifacts, FrameworkError, ThreadPoolExecutor, WindowOutcome,
     WindowScreen,
 };
 use sd_data::TimeSeries;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant; // sd-lint: allow(D003, queue-wait observability only; never feeds result values)
+use std::sync::mpsc::{Receiver, Sender};
 
-/// One assembled window handed from the collector to the pool.
+/// One assembled window handed from the collector to the evaluator.
 pub(crate) struct EvalJob {
     /// Window index, in stream order.
     pub(crate) window: usize,
     /// One materialized segment per series, in series order.
     pub(crate) segments: Vec<TimeSeries>,
-    /// When the collector dispatched the job (queue-wait measurement).
-    dispatched_at: Instant, // sd-lint: allow(D003, queue-wait observability only; never feeds result values)
 }
 
-impl EvalJob {
-    pub(crate) fn new(window: usize, segments: Vec<TimeSeries>) -> Self {
-        EvalJob {
-            window,
-            segments,
-            dispatched_at: Instant::now(), // sd-lint: allow(D003, queue-wait observability only; never feeds result values)
-        }
-    }
-}
-
-/// One worker's verdict on one window, sent to the reorder stage.
-struct EvalResult {
-    window: usize,
-    queue_wait_us: u64,
-    evaluate_us: u64,
-    result: Result<(WindowScreen, Vec<WindowOutcome>), FrameworkError>,
-}
-
-/// Evaluation-lag observability for one published window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowLag {
-    /// Window index, in stream order.
-    pub window_index: usize,
-    /// Microseconds the assembled window waited in the dispatch queue
-    /// before a worker picked it up.
-    pub queue_wait_us: u64,
-    /// Microseconds the worker spent calibrating and scoring it.
-    pub evaluate_us: u64,
-}
-
-/// Pending-window depth gauge shared by the collector (dispatch side) and
-/// the reorder stage (publish side): `dispatched − published` windows are
-/// in flight, and the high-water mark of that depth is the
-/// `max_pending_windows` statistic.
-pub(crate) struct DepthGauge {
-    dispatched: AtomicUsize,
-    published: AtomicUsize,
-    max_pending: AtomicUsize,
-}
-
-impl DepthGauge {
-    fn new() -> Self {
-        DepthGauge {
-            dispatched: AtomicUsize::new(0),
-            published: AtomicUsize::new(0),
-            max_pending: AtomicUsize::new(0),
-        }
-    }
-
-    /// Called by the collector right before sending a job.
-    pub(crate) fn on_dispatch(&self) {
-        let dispatched = self.dispatched.fetch_add(1, Ordering::AcqRel) + 1;
-        let published = self.published.load(Ordering::Acquire);
-        let depth = dispatched.saturating_sub(published);
-        self.max_pending.fetch_max(depth, Ordering::AcqRel);
-    }
-
-    fn on_publish(&self) {
-        self.published.fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn max_pending(&self) -> usize {
-        self.max_pending.load(Ordering::Acquire)
-    }
-}
-
-/// Everything the reorder stage accumulated. `error` carries the first
-/// in-order evaluation failure (if any); a missing window (worker death)
-/// shows up as `published` falling short of the collector's dispatch
-/// count instead.
-pub(crate) struct ReorderOutput {
+/// Everything the evaluator published, in window order. `error` carries
+/// the evaluation failure that stopped the stage, if any.
+pub(crate) struct EvaluatorOutput {
     pub(crate) outcomes: Vec<WindowOutcome>,
     pub(crate) screens: Vec<WindowScreen>,
-    pub(crate) window_lags: Vec<WindowLag>,
-    pub(crate) published: usize,
     pub(crate) error: Option<FrameworkError>,
 }
 
-/// The spawned evaluation stage: the collector's dispatch sender, the
-/// worker handles, and the reorder handle, joined by
-/// [`crate::StreamingService::finish`].
-pub(crate) struct EvaluatorPool {
-    pub(crate) dispatch: SyncSender<EvalJob>,
-    pub(crate) workers: Vec<JoinHandle<()>>,
-    pub(crate) reorder: JoinHandle<ReorderOutput>,
-    pub(crate) depth: Arc<DepthGauge>,
+/// The evaluator's inputs: the windowed pipeline configuration and the
+/// per-window strategy and neighbour context.
+pub(crate) struct Evaluator {
+    pub(crate) config: ServeConfig,
+    pub(crate) strategies: Vec<CompositeStrategy>,
+    pub(crate) neighbors: Vec<Vec<(usize, f64)>>,
 }
 
-/// What every worker shares: the windowed pipeline inputs plus the
-/// config's fault/latency injection hooks.
-struct EvalContext {
-    config: ServeConfig,
-    strategies: Vec<CompositeStrategy>,
-    neighbors: Vec<Vec<(usize, f64)>>,
-    executor: ThreadPoolExecutor,
-}
-
-/// Spawns the evaluator workers and the reorder thread; the returned
-/// pool's `dispatch` sender is handed to the collector.
-pub(crate) fn spawn_evaluator_pool(
-    config: &ServeConfig,
-    strategies: Vec<CompositeStrategy>,
-    neighbors: Vec<Vec<(usize, f64)>>,
-    updates: Sender<WindowUpdate>,
-) -> EvaluatorPool {
-    let evaluators = config.evaluators.max(1);
-    let (dispatch, jobs) = sync_channel::<EvalJob>(evaluators);
-    let (results_tx, results_rx) = channel::<EvalResult>();
-    let depth = Arc::new(DepthGauge::new());
-
-    let ctx = Arc::new(EvalContext {
-        config: config.clone(),
-        strategies,
-        neighbors,
-        executor: ThreadPoolExecutor::new(config.windowed.threads),
-    });
-    let jobs = Arc::new(Mutex::new(jobs));
-
-    let mut workers = Vec::with_capacity(evaluators);
-    for worker in 0..evaluators {
-        let ctx = Arc::clone(&ctx);
-        let jobs = Arc::clone(&jobs);
-        let results = results_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("sd-serve-eval-{worker}"))
-            .spawn(move || run_worker(&ctx, &jobs, &results))
-            // Thread spawning fails only when the OS is out of resources,
-            // at which point the service cannot exist; like the shard and
-            // collector spawns, this is an approved abort point.
-            // sd-lint: allow(P001, OS thread exhaustion has no recovery path)
-            .expect("spawning an evaluator thread");
-        workers.push(handle);
-    }
-    // The workers hold the only result senders: the channel disconnects —
-    // and the reorder stage returns — exactly when the last worker exits.
-    drop(results_tx);
-
-    let reorder_depth = Arc::clone(&depth);
-    let reorder = std::thread::Builder::new()
-        .name("sd-serve-reorder".into())
-        .spawn(move || run_reorder(&results_rx, &updates, &reorder_depth))
-        // sd-lint: allow(P001, OS thread exhaustion has no recovery path)
-        .expect("spawning the reorder thread");
-
-    EvaluatorPool {
-        dispatch,
-        workers,
-        reorder,
-        depth,
-    }
-}
-
-/// Worker body: pull the next job, evaluate it through the shared
-/// windowed pipeline, send the result. Exits when the dispatch channel
-/// disconnects (stream closed and drained) or the reorder stage is gone.
-fn run_worker(ctx: &EvalContext, jobs: &Mutex<Receiver<EvalJob>>, results: &Sender<EvalResult>) {
-    loop {
-        // Holding the lock across `recv` is equivalent to queueing on the
-        // receiver itself: exactly one idle worker blocks on the channel,
-        // the rest block on the lock, and disconnection wakes them all.
-        let job = jobs.lock().recv();
-        let Ok(job) = job else { return };
-        let picked = Instant::now(); // sd-lint: allow(D003, queue-wait observability only; never feeds result values)
-        let queue_wait_us = micros_between(job.dispatched_at, picked);
-        apply_test_hooks(ctx, job.window);
-        let window = job.window;
-        let result = evaluate_one(ctx, window, &job.segments);
-        let evaluate_us = micros_between(picked, Instant::now()); // sd-lint: allow(D003, evaluate-time observability only; never feeds result values)
-        let sent = results.send(EvalResult {
-            window,
-            queue_wait_us,
-            evaluate_us,
-            result,
-        });
-        if sent.is_err() {
-            // The reorder stage returned early (a prior window failed);
-            // remaining jobs are moot.
-            return;
-        }
-    }
-}
-
-/// One window through the shared windowed pipeline — the exact calls the
-/// serial collector used to make inline, so results are bit-identical.
-fn evaluate_one(
-    ctx: &EvalContext,
-    window: usize,
-    segments: &[TimeSeries],
-) -> Result<(WindowScreen, Vec<WindowOutcome>), FrameworkError> {
-    let (artifacts, screen) = calibrate_window(
-        &ctx.config.windowed,
-        &ctx.config.attributes,
-        window,
-        segments,
-        &ctx.neighbors,
-    )?;
-    let outcomes = evaluate_window_artifacts(
-        &ctx.config.windowed,
-        &ctx.strategies,
-        &ctx.executor,
-        artifacts,
-    )?;
-    Ok((screen, outcomes))
-}
-
-/// The config's test-only fault/latency injection (see
-/// [`ServeConfig::with_evaluation_jitter`] and
-/// [`ServeConfig::with_evaluator_panic_at`]): deterministic per-window
-/// sleep to scramble completion order, and an induced worker panic.
-fn apply_test_hooks(ctx: &EvalContext, window: usize) {
-    if let Some((seed, max_us)) = ctx.config.eval_jitter {
-        if max_us > 0 {
-            let us = splitmix(seed ^ (window as u64)) % (max_us + 1);
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-    }
-    if ctx.config.eval_panic_at == Some(window) {
-        // The fault test's whole point: prove a panicking worker surfaces
-        // as a structured error without hanging `finish`.
-        // sd-lint: allow(P001, test-only fault injection behind an explicit config hook)
-        panic!("induced evaluator panic at window {window}");
-    }
-}
-
-/// Reorder body: buffer out-of-order results, publish strictly in window
-/// order, stop at the first in-order failure.
-fn run_reorder(
-    results: &Receiver<EvalResult>,
-    updates: &Sender<WindowUpdate>,
-    depth: &DepthGauge,
-) -> ReorderOutput {
-    let mut out = ReorderOutput {
-        outcomes: Vec::new(),
-        screens: Vec::new(),
-        window_lags: Vec::new(),
-        published: 0,
-        error: None,
-    };
-    let mut buffer: BTreeMap<usize, EvalResult> = BTreeMap::new();
-    let mut next_pub = 0usize;
-    while let Ok(res) = results.recv() {
-        let window = res.window;
-        if window < next_pub || buffer.insert(window, res).is_some() {
-            out.error = Some(FrameworkError::Internal(format!(
-                "two evaluators returned window {window}"
-            )));
-            return out;
-        }
-        while let Some(ready) = buffer.remove(&next_pub) {
-            match ready.result {
+impl Evaluator {
+    /// The evaluator thread body: evaluate every dispatched window in
+    /// arrival (= window) order and publish it, until the collector closes
+    /// the channel or a window fails.
+    pub(crate) fn run(
+        self,
+        jobs: &Receiver<EvalJob>,
+        updates: &Sender<WindowUpdate>,
+    ) -> EvaluatorOutput {
+        let executor = ThreadPoolExecutor::new(self.config.windowed.threads);
+        let mut out = EvaluatorOutput {
+            outcomes: Vec::new(),
+            screens: Vec::new(),
+            error: None,
+        };
+        for job in jobs.iter() {
+            #[cfg(test)]
+            if self.config.panic_at == Some(job.window) {
+                panic!("induced evaluator panic at window {}", job.window);
+            }
+            match self.evaluate(&executor, job.window, &job.segments) {
                 Ok((screen, outcomes)) => {
                     // Live subscribers are optional; a dropped update
                     // receiver must not fail the stream.
                     let _ = updates.send(WindowUpdate {
-                        window_index: next_pub,
+                        window_index: job.window,
                         screen: screen.clone(),
                         outcomes: outcomes.clone(),
                     });
                     out.screens.push(screen);
                     out.outcomes.extend(outcomes);
-                    out.window_lags.push(WindowLag {
-                        window_index: next_pub,
-                        queue_wait_us: ready.queue_wait_us,
-                        evaluate_us: ready.evaluate_us,
-                    });
-                    out.published += 1;
-                    depth.on_publish();
-                    next_pub += 1;
                 }
                 Err(e) => {
-                    // Windows after a failed one are withheld: the serial
-                    // path never evaluated past a failure either.
                     out.error = Some(e);
-                    return out;
+                    break;
                 }
             }
         }
-    }
-    out
-}
-
-/// Splitmix64 finalizer — the jitter hook's deterministic per-window
-/// stream (same mixer as [`crate::shard_of`]).
-fn splitmix(x: u64) -> u64 {
-    let mut x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Saturating µs between two instants (monotonic, so `later >= earlier`
-/// in practice; saturation keeps the counters total even if not).
-// sd-lint: allow(D003, lag observability plumbing; never feeds result values)
-fn micros_between(earlier: Instant, later: Instant) -> u64 {
-    later
-        .saturating_duration_since(earlier)
-        .as_micros()
-        .min(u128::from(u64::MAX)) as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn depth_gauge_tracks_high_water() {
-        let gauge = DepthGauge::new();
-        gauge.on_dispatch();
-        gauge.on_dispatch();
-        gauge.on_dispatch();
-        assert_eq!(gauge.max_pending(), 3);
-        gauge.on_publish();
-        gauge.on_publish();
-        gauge.on_dispatch();
-        // Depth fell to 2 after publishing; the high-water mark stays.
-        assert_eq!(gauge.max_pending(), 3);
+        out
     }
 
-    #[test]
-    fn splitmix_is_deterministic_and_spreads() {
-        assert_eq!(splitmix(7), splitmix(7));
-        assert_ne!(splitmix(7), splitmix(8));
+    /// One window through the shared windowed pipeline — the exact calls
+    /// the batch replay makes, so results are bit-identical.
+    fn evaluate(
+        &self,
+        executor: &ThreadPoolExecutor,
+        window: usize,
+        segments: &[TimeSeries],
+    ) -> Result<(WindowScreen, Vec<WindowOutcome>), FrameworkError> {
+        let (artifacts, screen) = calibrate_window(
+            &self.config.windowed,
+            &self.config.attributes,
+            window,
+            segments,
+            &self.neighbors,
+        )?;
+        let outcomes = evaluate_window_artifacts(
+            &self.config.windowed,
+            &self.strategies,
+            executor,
+            artifacts,
+        )?;
+        Ok((screen, outcomes))
     }
 }

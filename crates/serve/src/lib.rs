@@ -18,21 +18,22 @@
 //! count, channel capacity, and arrival interleaving
 //! (`tests/streaming_equivalence.rs` holds the proof obligations).
 //!
-//! Evaluation is pipelined: the collector only *assembles* windows and
-//! dispatches each completed one to a bounded pool of evaluator workers
-//! ([`ServeConfig::evaluators`]); a reorder stage publishes results
-//! strictly in window order, so the report — and the live update feed —
-//! stay bit-identical at every pool size while kernel scoring overlaps
+//! Evaluation is one stage behind assembly: the collector only
+//! *assembles* windows and dispatches each completed one, in window
+//! order, to a single evaluator thread, which scores and publishes it.
+//! One in-order consumer keeps the report — and the live update feed —
+//! in window order by construction, while kernel scoring overlaps
 //! ingestion.
 //!
 //! ## Layout
 //!
 //! - [`ServeConfig`] / [`shard_of`] — geometry, serving knobs, routing.
-//! - `shard` (private) — shard worker threads owning the rings.
+//! - `shard` (private) — shard worker threads owning the rings, and the
+//!   one place every service thread is spawned.
 //! - `collector` (private) — window assembly and in-order dispatch;
 //!   exposes [`WindowUpdate`], the live per-window feed.
-//! - `evaluator` (private) — the evaluator-worker pool and the reorder
-//!   stage; exposes [`WindowLag`], the per-window lag observability.
+//! - `evaluator` (private) — the single evaluation stage: calibrates,
+//!   scores and publishes each window in order.
 //! - [`StreamingService`] — the producer-facing handle:
 //!   [`launch`](StreamingService::launch) →
 //!   [`ingest`](StreamingService::ingest) →
@@ -49,5 +50,4 @@ mod shard;
 
 pub use collector::WindowUpdate;
 pub use config::{shard_of, ServeConfig};
-pub use evaluator::WindowLag;
 pub use service::{ServeStats, StreamReport, StreamingService};

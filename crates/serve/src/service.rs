@@ -2,14 +2,13 @@
 //! and the final report.
 
 use crate::collector::{AssemblerOutput, Collector, UpdateFeed, WindowUpdate};
-use crate::evaluator::{spawn_evaluator_pool, DepthGauge, ReorderOutput, WindowLag};
-use crate::shard::{spawn_collector, spawn_shard, ShardMsg, ShardWorker};
+use crate::evaluator::{Evaluator, EvaluatorOutput};
+use crate::shard::{spawn_shard, spawn_stage, ShardMsg, ShardWorker};
 use crate::{shard_of, ServeConfig};
 use sd_cleaning::CompositeStrategy;
 use sd_core::{resolve_neighbor_views, FrameworkError, Result, WindowOutcome, WindowScreen};
 use sd_data::{ArrivalRow, NodeId};
 use std::sync::mpsc::{channel, sync_channel, SyncSender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Aggregate statistics of one served stream.
@@ -17,8 +16,6 @@ use std::thread::JoinHandle;
 pub struct ServeStats {
     /// Number of ingestion shards.
     pub shards: usize,
-    /// Size of the evaluator-worker pool.
-    pub evaluators: usize,
     /// Rows ingested across all shards.
     pub rows_ingested: u64,
     /// Highest per-node ring occupancy any shard ever observed. Bounded
@@ -29,29 +26,6 @@ pub struct ServeStats {
     pub ring_capacity: usize,
     /// Windows calibrated and evaluated.
     pub windows_evaluated: usize,
-    /// High-water mark of windows dispatched to the evaluator pool but
-    /// not yet published by the reorder stage — how deep the pipeline
-    /// actually ran. Never exceeds `2 · evaluators + 1` (queue capacity
-    /// plus in-flight evaluations plus one reorder slot).
-    pub max_pending_windows: usize,
-    /// Per-window evaluation lag — queue wait and evaluate time — in
-    /// window order. Timings are observability, not results: they vary
-    /// run to run while every outcome stays bit-identical.
-    pub window_lags: Vec<WindowLag>,
-}
-
-impl ServeStats {
-    /// `(mean queue-wait µs, mean evaluate µs)` across all windows;
-    /// zeros for an empty stream.
-    pub fn mean_lag_us(&self) -> (f64, f64) {
-        if self.window_lags.is_empty() {
-            return (0.0, 0.0);
-        }
-        let n = self.window_lags.len() as f64;
-        let wait: u64 = self.window_lags.iter().map(|l| l.queue_wait_us).sum();
-        let eval: u64 = self.window_lags.iter().map(|l| l.evaluate_us).sum();
-        (wait as f64 / n, eval as f64 / n)
-    }
 }
 
 /// Everything a finished stream produced — the streaming analogue of
@@ -87,7 +61,7 @@ impl StreamReport {
         &self.metrics
     }
 
-    /// Serving statistics (rows, ring occupancy, shard count, lags).
+    /// Serving statistics (rows, ring occupancy, shard count).
     pub fn stats(&self) -> &ServeStats {
         &self.stats
     }
@@ -108,13 +82,12 @@ impl StreamReport {
 ///
 /// Rows stream in via [`StreamingService::ingest`] (any interleaving
 /// across nodes; time-ordered per node), shards maintain bounded
-/// per-node ring buffers, completed windows are dispatched to a bounded
-/// pool of evaluator workers, and a reorder stage publishes every
-/// calibrated, cleaned, kernel-scored window strictly in stream order —
-/// emitting [`WindowUpdate`]s live and a [`StreamReport`] at
-/// [`StreamingService::finish`] whose outcomes are bit-identical to
-/// running [`sd_core::WindowedExperiment`] over the materialized stream,
-/// at every pool size.
+/// per-node ring buffers, and completed windows are dispatched in stream
+/// order to one evaluator thread, which publishes every calibrated,
+/// cleaned, kernel-scored window as it goes — emitting [`WindowUpdate`]s
+/// live and a [`StreamReport`] at [`StreamingService::finish`] whose
+/// outcomes are bit-identical to running [`sd_core::WindowedExperiment`]
+/// over the materialized stream.
 ///
 /// ```
 /// use sd_cleaning::paper_strategy;
@@ -128,8 +101,7 @@ impl StreamReport {
 /// let nodes = data.series().iter().map(|s| s.node()).collect();
 /// let attributes = data.attributes().iter().map(|a| a.name.clone()).collect();
 /// let serve = ServeConfig::new(WindowedConfig::paper_default(30, 30, 7), attributes)
-///     .with_shards(2)
-///     .with_evaluators(2);
+///     .with_shards(2);
 /// let service = StreamingService::launch(serve, nodes, vec![paper_strategy(5)]).unwrap();
 /// for row in stream_rows(&data) {
 ///     service.ingest(row).unwrap();
@@ -142,22 +114,18 @@ pub struct StreamingService {
     senders: Vec<SyncSender<ShardMsg>>,
     shard_handles: Vec<JoinHandle<()>>,
     collector: JoinHandle<std::result::Result<AssemblerOutput, FrameworkError>>,
-    evaluator_handles: Vec<JoinHandle<()>>,
-    reorder: JoinHandle<ReorderOutput>,
-    depth: Arc<DepthGauge>,
+    evaluator: JoinHandle<EvaluatorOutput>,
     updates: UpdateFeed,
     metrics: Vec<&'static str>,
     shards: usize,
-    evaluators: usize,
     ring_capacity: usize,
 }
 
 impl StreamingService {
-    /// Validates the configuration and spawns the shard, collector,
-    /// evaluator, and reorder threads. `nodes[i]` is the node whose rows
-    /// form series `i` of the stream — series order, like the batch
-    /// dataset's, fixes outcome order regardless of sharding or pool
-    /// size.
+    /// Validates the configuration and spawns the shard, collector and
+    /// evaluator threads. `nodes[i]` is the node whose rows form series
+    /// `i` of the stream — series order, like the batch dataset's, fixes
+    /// outcome order regardless of sharding.
     pub fn launch(
         config: ServeConfig,
         nodes: Vec<NodeId>,
@@ -181,7 +149,6 @@ impl StreamingService {
             .map(sd_core::DistortionMetric::name)
             .collect();
         let shards = config.shards;
-        let evaluators = config.evaluators;
         let ring_capacity = config.ring_capacity();
         let num_attributes = config.attributes.len();
 
@@ -197,14 +164,18 @@ impl StreamingService {
             per_shard[shard_of(node, shards)].push((series, node));
         }
 
-        // Evaluation stage first: the collector needs its dispatch
-        // sender. Dropping the Collector at end of stream closes that
-        // sender, which drains and retires the pool.
-        let pool = spawn_evaluator_pool(&config, strategies, neighbors, updates_tx);
-        let depth = Arc::clone(&pool.depth);
-
-        let collector = Collector::new(config.clone(), nodes, pool.dispatch, Arc::clone(&depth));
-        let collector = spawn_collector(move || collector.run(&emit_rx));
+        // Collector → evaluator: one window in the channel while the
+        // previous one is scored. Dropping the Collector at end of stream
+        // closes the channel, which drains and retires the evaluator.
+        let (dispatch, jobs) = sync_channel(1);
+        let evaluator = Evaluator {
+            config: config.clone(),
+            strategies,
+            neighbors,
+        };
+        let evaluator = spawn_stage("evaluator", move || evaluator.run(&jobs, &updates_tx));
+        let collector = Collector::new(config.clone(), nodes, dispatch);
+        let collector = spawn_stage("collector", move || collector.run(&emit_rx));
 
         let mut senders = Vec::with_capacity(shards);
         let mut shard_handles = Vec::with_capacity(shards);
@@ -227,13 +198,10 @@ impl StreamingService {
             senders,
             shard_handles,
             collector,
-            evaluator_handles: pool.workers,
-            reorder: pool.reorder,
-            depth,
+            evaluator,
             updates: UpdateFeed::new(updates_rx),
             metrics,
             shards,
-            evaluators,
             ring_capacity,
         })
     }
@@ -261,8 +229,8 @@ impl StreamingService {
         self.updates.try_next()
     }
 
-    /// Blocks until the next window completes; `None` once the reorder
-    /// stage has exited. Only call when enough rows are in flight to
+    /// Blocks until the next window completes; `None` once the evaluator
+    /// has exited. Only call when enough rows are in flight to
     /// complete a window — the stream cannot finish a window it was
     /// never fed.
     pub fn next_window(&self) -> Option<WindowUpdate> {
@@ -273,9 +241,8 @@ impl StreamingService {
     /// and returns the report. A panicked shard, evaluator, or collector
     /// surfaces as a structured [`FrameworkError`] — the service never
     /// wedges. Attribution order: a panicked shard first (it starves
-    /// everything downstream), then the reorder stage's in-order
-    /// evaluation error, then a panicked evaluator, then the collector's
-    /// own error.
+    /// everything downstream), then a panicked evaluator or its evaluation
+    /// error, then the collector's own error.
     pub fn finish(self) -> Result<StreamReport> {
         for sender in &self.senders {
             // A dead shard already surfaced (or will) via join below.
@@ -289,66 +256,83 @@ impl StreamingService {
             }
         }
         // The collector exits once every shard closed (or errored); its
-        // drop closes the dispatch channel, so the workers drain and
-        // exit, the results channel disconnects, and the reorder stage
-        // returns. Join order below mirrors that shutdown wave — no join
-        // can block on a thread joined later.
+        // drop closes the dispatch channel, so the evaluator drains and
+        // returns. Join order mirrors that shutdown wave — no join can
+        // block on a thread joined later.
         let collected = match self.collector.join() {
             Ok(result) => result,
             Err(_) => Err(FrameworkError::Internal(
                 "the collector thread panicked".into(),
             )),
         };
-        let mut panicked_evaluator = None;
-        for (evaluator, handle) in self.evaluator_handles.into_iter().enumerate() {
-            if handle.join().is_err() && panicked_evaluator.is_none() {
-                panicked_evaluator = Some(evaluator);
-            }
-        }
-        let reorder = match self.reorder.join() {
-            Ok(output) => output,
-            Err(_) => {
-                return Err(FrameworkError::Internal(
-                    "the reorder thread panicked".into(),
-                ))
-            }
-        };
+        let evaluated = self.evaluator.join();
         if let Some(shard) = panicked_shard {
             return Err(FrameworkError::ShardFailed {
                 shard,
                 detail: "its worker thread panicked".into(),
             });
         }
-        if let Some(error) = reorder.error {
-            return Err(error);
-        }
-        if let Some(evaluator) = panicked_evaluator {
+        let Ok(evaluated) = evaluated else {
             return Err(FrameworkError::EvaluatorFailed {
-                evaluator,
+                evaluator: 0,
                 detail: "its worker thread panicked".into(),
             });
+        };
+        if let Some(error) = evaluated.error {
+            return Err(error);
         }
         let output = collected?;
-        if reorder.published < output.windows_dispatched {
+        let published = evaluated.screens.len();
+        if published < output.windows_dispatched {
             return Err(FrameworkError::Internal(format!(
-                "{} of {} dispatched windows were published",
-                reorder.published, output.windows_dispatched
+                "{published} of {} dispatched windows were published",
+                output.windows_dispatched
             )));
         }
         Ok(StreamReport {
-            outcomes: reorder.outcomes,
-            screens: reorder.screens,
+            outcomes: evaluated.outcomes,
+            screens: evaluated.screens,
             metrics: self.metrics,
             stats: ServeStats {
                 shards: self.shards,
-                evaluators: self.evaluators,
                 rows_ingested: output.rows,
                 ring_high_water: output.high_water,
                 ring_capacity: self.ring_capacity,
-                windows_evaluated: reorder.published,
-                max_pending_windows: self.depth.max_pending(),
-                window_lags: reorder.window_lags,
+                windows_evaluated: published,
             },
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sd_cleaning::paper_strategy;
+    use sd_core::WindowedConfig;
+    use sd_netsim::{generate, stream_rows, NetsimConfig};
+
+    /// A panicking evaluator — induced via the config's test hook — must
+    /// surface from `finish` as a structured
+    /// `FrameworkError::EvaluatorFailed`, not a hang: the producer keeps
+    /// ingesting and the dead evaluator is reported.
+    #[test]
+    fn panicking_evaluator_surfaces_as_evaluator_failed_without_hanging() {
+        let data = generate(&NetsimConfig::small(41)).dataset;
+        let nodes = data.series().iter().map(|s| s.node()).collect();
+        let attributes = data.attributes().iter().map(|a| a.name.clone()).collect();
+        let mut serve =
+            ServeConfig::new(WindowedConfig::paper_default(20, 10, 41), attributes).with_shards(2);
+        serve.panic_at = Some(1);
+        let service = StreamingService::launch(serve, nodes, vec![paper_strategy(1)]).unwrap();
+        for row in stream_rows(&data) {
+            service.ingest(row).unwrap();
+        }
+        match service.finish() {
+            Err(FrameworkError::EvaluatorFailed { evaluator, detail }) => {
+                assert_eq!(evaluator, 0);
+                assert!(detail.contains("panicked"), "detail: {detail}");
+            }
+            other => panic!("expected EvaluatorFailed, got {other:?}"),
+        }
     }
 }

@@ -217,14 +217,16 @@ pub(crate) fn spawn_shard(worker: ShardWorker, inbox: Receiver<ShardMsg>) -> Joi
         .expect("spawning a shard thread")
 }
 
-/// Spawns the collector thread (assembly + evaluation), returning its
-/// join handle; the collector's result carries the assembled report.
-pub(crate) fn spawn_collector<T: Send + 'static>(
+/// Spawns one of the two pipeline-stage threads — the collector
+/// (assembly) or the evaluator — returning its join handle; the body's
+/// return value carries what the stage accumulated.
+pub(crate) fn spawn_stage<T: Send + 'static>(
+    name: &str,
     body: impl FnOnce() -> T + Send + 'static,
 ) -> JoinHandle<T> {
     std::thread::Builder::new()
-        .name("sd-serve-collector".into())
+        .name(format!("sd-serve-{name}"))
         .spawn(body)
         // sd-lint: allow(P001, OS thread exhaustion has no recovery path)
-        .expect("spawning the collector thread")
+        .expect("spawning a pipeline-stage thread")
 }

@@ -9,11 +9,9 @@
 //! report is bit-identical to replaying the same rows through the batch
 //! `WindowedExperiment`, which this example verifies at the end.
 //!
-//! Knobs: `SD_SHARDS` (ingestion shards, default 4), `SD_EVALUATORS`
-//! (evaluator-pool size, default 2 — any value yields the same
-//! bit-identical report; bigger pools only overlap more evaluation with
-//! ingestion), `SD_SCALE` (`small` for the 100-sector smoke stream,
-//! anything else for the 1 000-sector harness stream).
+//! Knobs: `SD_SHARDS` (ingestion shards, default 4), `SD_SCALE`
+//! (`small` for the 100-sector smoke stream, anything else for the
+//! 1 000-sector harness stream).
 //!
 //! ```text
 //! SD_SCALE=small cargo run --release --example streaming_service
@@ -31,26 +29,19 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let evaluators = std::env::var("SD_EVALUATORS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
     let data = generate(&netsim).dataset;
     let nodes: Vec<NodeId> = data.series().iter().map(|s| s.node()).collect();
     let attributes: Vec<String> = data.attributes().iter().map(|a| a.name.clone()).collect();
     let rows = stream_rows(&data);
 
     let config = WindowedConfig::paper_default(30, 30, 42);
-    let serve = ServeConfig::new(config.clone(), attributes)
-        .with_shards(shards)
-        .with_evaluators(evaluators);
+    let serve = ServeConfig::new(config.clone(), attributes).with_shards(shards);
     let strategies = vec![paper_strategy(1), paper_strategy(5)];
     println!(
-        "stream: {} rows from {} nodes, {} shards, {} evaluators, ring capacity {} rows/node",
+        "stream: {} rows from {} nodes, {} shards, ring capacity {} rows/node",
         rows.len(),
         nodes.len(),
         shards,
-        evaluators,
         serve.ring_capacity(),
     );
 
@@ -69,18 +60,6 @@ fn main() {
         "served {} rows -> {} windows; ring high-water {}/{} rows",
         stats.rows_ingested, stats.windows_evaluated, stats.ring_high_water, stats.ring_capacity,
     );
-    let (mean_wait, mean_eval) = stats.mean_lag_us();
-    println!(
-        "evaluation lag: mean queue-wait {mean_wait:.0} us, mean evaluate {mean_eval:.0} us, \
-         max {} windows pending",
-        stats.max_pending_windows,
-    );
-    for lag in &stats.window_lags {
-        println!(
-            "  window {}: waited {} us, evaluated in {} us",
-            lag.window_index, lag.queue_wait_us, lag.evaluate_us,
-        );
-    }
     for (si, _) in strategies.iter().enumerate() {
         let trajectory = report.trajectory(si);
         let name = &report.outcomes()[si].strategy;

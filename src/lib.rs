@@ -84,9 +84,7 @@ pub mod prelude {
     };
     pub use sd_netsim::{generate, stream_rows, GlitchRates, NetsimConfig};
     pub use sd_sampling::ReplicationSampler;
-    pub use sd_serve::{
-        ServeConfig, ServeStats, StreamReport, StreamingService, WindowLag, WindowUpdate,
-    };
+    pub use sd_serve::{ServeConfig, ServeStats, StreamReport, StreamingService, WindowUpdate};
     pub use sd_stats::{AttributeTransform, Summary};
 }
 

@@ -150,44 +150,22 @@ fn streaming_matches_batch_across_shard_counts_and_metric_sets() {
     }
 }
 
-/// The pipelined-collector contract: every evaluator-pool size, crossed
-/// with every shard count the issue names, produces the same
-/// `StreamReport` bit for bit — and the same bits as the batch replay.
-/// Deterministic per-window jitter scrambles completion order inside the
-/// pool, so the reorder stage (not scheduling luck) is what the test
-/// exercises.
+/// Overlapping windows (stride 15 < window 20) at 1, 2, 4 and 8 shards:
+/// the collector dispatches windows in order to the one evaluator, and
+/// the `StreamReport` equals the batch replay bit for bit.
 #[test]
-fn streaming_matches_batch_across_evaluator_pools_and_shards() {
+fn streaming_matches_batch_on_overlapping_windows_across_shards() {
     let (data, _) = small_stream(101);
     let strategies = [paper_strategy(1), paper_strategy(4)];
     let config = WindowedConfig::paper_default(20, 15, 101);
     let batch = WindowedExperiment::new(config.clone())
         .run(&data, &strategies)
         .unwrap();
-    for evaluators in [1, 2, 4] {
-        for shards in [1, 2, 4, 8] {
-            let serve = ServeConfig::new(config.clone(), attributes_of(&data))
-                .with_shards(shards)
-                .with_evaluators(evaluators)
-                .with_evaluation_jitter(0xC0FFEE ^ (evaluators * 16 + shards) as u64, 400);
-            let stream = serve_configured(&data, serve, &strategies);
-            let label = format!("{evaluators} evaluators, {shards} shards");
-            assert_equivalent(&batch, &stream, &label);
-            let stats = stream.stats();
-            assert_eq!(stats.evaluators, evaluators, "{label}");
-            assert_eq!(stats.shards, shards, "{label}");
-            assert_eq!(stats.window_lags.len(), stats.windows_evaluated, "{label}");
-            // Lags publish in window order, and the pipeline depth stays
-            // within its structural bound.
-            for (i, lag) in stats.window_lags.iter().enumerate() {
-                assert_eq!(lag.window_index, i, "{label}");
-            }
-            assert!(
-                stats.max_pending_windows <= 2 * evaluators + 1,
-                "{label}: depth {}",
-                stats.max_pending_windows
-            );
-        }
+    for shards in [1, 2, 4, 8] {
+        let stream = serve_stream(&data, &config, &strategies, shards);
+        let label = format!("{shards} shards");
+        assert_equivalent(&batch, &stream, &label);
+        assert_eq!(stream.stats().shards, shards, "{label}");
     }
 }
 

@@ -167,35 +167,6 @@ fn panicking_shard_surfaces_as_shard_failed_without_hanging() {
     }
 }
 
-/// A panicking evaluator worker — induced via the config's fault hook —
-/// must surface from `finish` as a structured
-/// `FrameworkError::EvaluatorFailed`, not a hang: the producer keeps
-/// ingesting, the surviving workers drain, and the dead worker is
-/// reported by index.
-#[test]
-fn panicking_evaluator_surfaces_as_evaluator_failed_without_hanging() {
-    let data = generate(&NetsimConfig::small(41)).dataset;
-    let config = WindowedConfig::paper_default(20, 10, 41);
-    for evaluators in [1, 3] {
-        let serve = ServeConfig::new(config.clone(), attributes_of(&data))
-            .with_shards(2)
-            .with_evaluators(evaluators)
-            .with_evaluator_panic_at(1);
-        let service =
-            StreamingService::launch(serve, nodes_of(&data), vec![paper_strategy(1)]).unwrap();
-        for row in stream_rows(&data) {
-            service.ingest(row).unwrap();
-        }
-        match service.finish() {
-            Err(FrameworkError::EvaluatorFailed { evaluator, detail }) => {
-                assert!(evaluator < evaluators, "worker index out of pool range");
-                assert!(detail.contains("panicked"), "detail: {detail}");
-            }
-            other => panic!("expected EvaluatorFailed with {evaluators} workers, got {other:?}"),
-        }
-    }
-}
-
 /// Launch-time validation: impossible geometries and duplicate nodes are
 /// rejected before any thread spawns.
 #[test]
