@@ -32,12 +32,10 @@
 //! [`cost_sweep`] is bit-identical to [`cost_sweep_reference`] — the
 //! preserved replication-granular path (full clone, in-place cleaning,
 //! full re-detection, materialized distortion) kept in-tree so the
-//! equivalence stays enforceable ([`tests`] and `tests/end_to_end.rs`)
-//! and the speedup stays measurable (the perf bin's `cost_sweep` /
-//! `cost_sweep_ref` rows). The sweep's exact EMD transports run on the
-//! thread-local cold [`sd_emd::BatchTransport`] arena — allocation reuse
-//! without touching the cold pivot sequence, so the bit-identity contract
-//! is unaffected.
+//! equivalence stays enforceable ([`tests`] and `tests/end_to_end.rs`).
+//! The sweep's exact EMD transports run on the thread-local cold
+//! [`sd_emd::BatchTransport`] arena — allocation reuse without touching
+//! the cold pivot sequence, so the bit-identity contract is unaffected.
 
 use crate::engine::{run_staged, score_view, share_replication, SharedReplication, TaskExecutor};
 use crate::{
@@ -241,8 +239,7 @@ fn sweep_point(
 /// re-detection, and materialized distortion.
 ///
 /// Kept in-tree as [`cost_sweep`]'s bit-identity oracle — it shares no
-/// engine machinery beyond [`crate::ReplicationArtifacts`] itself — and as
-/// the baseline the perf bin's `cost_sweep_ref` row measures.
+/// engine machinery beyond [`crate::ReplicationArtifacts`] itself.
 pub fn cost_sweep_reference(data: &Dataset, config: &CostSweepConfig) -> Result<Vec<CostPoint>> {
     let experiment = Experiment::new(config.experiment.clone());
     let prepared = experiment.prepare(data)?;

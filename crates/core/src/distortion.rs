@@ -50,9 +50,10 @@ impl DistortionMetric {
     /// The paper's default: EMD over a 6-per-axis grid with normalized
     /// axis scaling.
     ///
-    /// Six bins per axis keeps every occupied-cell product (≤ 216² pairs)
-    /// inside the exact transportation-simplex budget, so replication
-    /// scores never mix exact and approximate solves.
+    /// Six bins per axis keeps every residual product — at most the
+    /// occupied-cell product, ≤ 216² pairs — inside the exact
+    /// transportation-simplex budget, so replication scores never mix
+    /// exact and approximate solves.
     pub fn paper_default() -> Self {
         DistortionMetric::Emd {
             bins: 6,

@@ -535,8 +535,8 @@ mod tests {
                 8,
                 |_| (),
                 |(), _, u| {
-                    let side = cache.side_for(&spec, &[1.0, 1.0]).expect("cacheable side");
-                    assert!(side.occupied > 0);
+                    let side = cache.side_for(&spec).expect("cacheable side");
+                    assert!(side.quant.occupied > 0);
                     if u == 3 {
                         panic!("unit 3 dies mid-queue");
                     }
@@ -558,7 +558,7 @@ mod tests {
         // The memoized side survives the panic: the lock is not poisoned
         // and the entry built before the crash is still served.
         assert!(cache.memoized() >= 1);
-        assert!(cache.side_for(&spec, &[1.0, 1.0]).is_ok());
+        assert!(cache.side_for(&spec).is_ok());
     }
 
     #[test]

@@ -38,9 +38,10 @@ pub enum FrameworkError {
         detail: String,
     },
     /// A streaming evaluator worker terminated abnormally — it panicked
-    /// while calibrating or scoring a window. The serving layer's reorder
-    /// stage stops publishing at the gap and `finish` surfaces this
-    /// instead of hanging on a window that will never arrive.
+    /// while calibrating or scoring a window. The serving layer's
+    /// collector can no longer dispatch windows to it, and `finish`, which
+    /// joins the evaluator thread, surfaces this instead of hanging on a
+    /// window that will never arrive.
     EvaluatorFailed {
         /// Index of the evaluator worker that died.
         evaluator: usize,

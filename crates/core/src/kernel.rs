@@ -27,8 +27,9 @@
 //! materialized cloud (enforced by proptests in `tests/properties.rs`).
 //! The kernels achieve this without re-deriving full state:
 //!
-//! * **EMD** — the PR-3 pipeline, unchanged: derived sorted columns,
-//!   rank-selected cover quantiles, incrementally edited dense histogram.
+//! * **EMD** — cover quantiles rank-selected from the cached sorted columns
+//!   and the edited rows' values, an incrementally edited dense histogram,
+//!   and an exact solve over the moved (residual) mass only.
 //! * **KL** — the same shared-grid machinery, min–max cover; the dirty
 //!   histogram comes from the cache's memo and the cleaned histogram is the
 //!   dirty one with only the edited rows re-binned. Masses are exact
@@ -74,11 +75,13 @@ use std::collections::BTreeMap;
 /// histogram-backed kernels obey a single contract (see the module docs).
 pub const KL_EPSILON: f64 = 1e-9;
 
-/// Occupied-cell-product budget above which the EMD kernel falls back from
-/// the exact transportation simplex to Sinkhorn (which preserves the
-/// strategy ordering). Sized so instances up to roughly 380×380 occupied
-/// cells stay exact: at those shapes one simplex solve is still cheaper
-/// than a converged Sinkhorn run.
+/// Residual-product budget above which the EMD kernel falls back from the
+/// exact transportation simplex to Sinkhorn (which preserves the strategy
+/// ordering). It bounds `|r_a| × |r_b|`, the cells where one side's mass
+/// exceeds the other's — the only cells the exact solve transports (see
+/// [`GridEmd`]). Sized so residuals up to roughly 380×380 cells stay
+/// exact: at those shapes one simplex solve is still cheaper than a
+/// converged Sinkhorn run.
 const MAX_EXACT_CELLS: usize = 150_000;
 
 /// One metric's score of a `(replication, strategy)` unit.
@@ -222,18 +225,12 @@ impl PreparedKernel for KlKernel {
         if cache.rows().is_empty() {
             return Err(FrameworkError::Distortion("empty data".into()));
         }
-        // Min–max cover over both clouds, read from the cached + derived
-        // sorted columns by rank selection — bit-identical to
+        // Min–max cover over both clouds, read from the cached sorted
+        // columns and the edited rows by rank selection — bit-identical to
         // `GridSpec::covering` on the materialized union.
-        let pairs: Vec<(&[f64], &[f64])> = cache
-            .sorted_columns()
-            .iter()
-            .zip(patched.sorted_columns())
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
-        let spec = GridSpec::from_sorted_column_pairs_quantiles(&pairs, self.bins, 0.0, 1.0);
-        let scale = vec![1.0; spec.dim()];
-        let side = match cache.side_for(&spec, &scale) {
+        let spec =
+            GridSpec::from_union_columns_quantiles(&patched.union_columns(), self.bins, 0.0, 1.0);
+        let side = match cache.side_for(&spec) {
             Ok(side) => side,
             Err(_) => {
                 return Err(FrameworkError::Distortion(
@@ -584,15 +581,13 @@ impl PreparedKernel for EnergyKernel {
         if cache.rows().is_empty() {
             return Err(FrameworkError::Distortion("empty data".into()));
         }
-        let pairs: Vec<(&[f64], &[f64])> = cache
-            .sorted_columns()
-            .iter()
-            .zip(patched.sorted_columns())
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
-        let spec = GridSpec::from_sorted_column_pairs_robust(&pairs, self.bins, ENERGY_COVER_Z);
+        let spec = GridSpec::from_union_columns_robust(
+            &patched.union_columns(),
+            self.bins,
+            ENERGY_COVER_Z,
+        );
         let scale = normalized_scale(&spec);
-        let side = match cache.side_for(&spec, &scale) {
+        let side = match cache.side_for(&spec) {
             Ok(side) => side,
             Err(_) => {
                 return Err(FrameworkError::Distortion(
@@ -606,8 +601,9 @@ impl PreparedKernel for EnergyKernel {
                 "no complete records to compare".into(),
             ));
         }
+        let sig_d = scaled_signature(side.quant.pairs.clone(), &scale).map_err(distortion_err)?;
         let sig_c = scaled_signature(qc.pairs, &scale).map_err(distortion_err)?;
-        Ok(energy_distance(&side.signature, &sig_c))
+        Ok(energy_distance(&sig_d, &sig_c))
     }
 }
 

@@ -77,8 +77,7 @@
 //! a preserved replication-granular path that materializes the full
 //! cleaned cloud and scores it through
 //! [`crate::DistortionKernel::score_rows`] for every trajectory step and
-//! frontier point (the optimizer's bit-identity oracle and the baseline
-//! the perf bin's `budget_opt_ref` row measures).
+//! frontier point (the optimizer's bit-identity oracle).
 
 use crate::cost::dirtiest_ranking;
 use crate::distortion::pooled_working_rows;
@@ -831,8 +830,7 @@ pub fn budget_optimize_with<E: TaskExecutor>(
 /// [`crate::DistortionKernel::score_rows`].
 ///
 /// Kept in-tree as [`budget_optimize`]'s bit-identity oracle (enforced by
-/// the tests in this module) and as the baseline the perf bin's
-/// `budget_opt_ref` row measures.
+/// the tests in this module).
 pub fn budget_optimize_reference(
     data: &Dataset,
     config: &BudgetOptimizerConfig,

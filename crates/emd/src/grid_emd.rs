@@ -1,6 +1,7 @@
-use crate::signature::{quantize, scaled_signature, PatchedCloud};
-use crate::{sinkhorn, EmdError, Result, Signature, SignatureCache, SinkhornParams};
-use sd_stats::{sorted_union_columns, GridSpec};
+use crate::signature::{quantize, scaled_point, scaled_signature, CloudQuant, PatchedCloud};
+use crate::{sinkhorn, EmdError, Result, SignatureCache, SinkhornParams};
+use sd_stats::{sorted_union_columns, GridSpec, UnionColumn};
+use std::cmp::Ordering;
 
 /// How cell-centre coordinates are scaled before computing ground
 /// distances.
@@ -37,8 +38,9 @@ pub enum CoverRule {
 pub enum SolverUsed {
     /// Exact transportation simplex.
     Simplex,
-    /// Entropic Sinkhorn approximation (signature exceeded
-    /// `max_exact_cells`).
+    /// Entropic Sinkhorn approximation on the full signatures (the
+    /// residual product `|r_a| × |r_b|` exceeded `max_exact_cells`; see
+    /// [`GridEmd::with_max_exact_cells`]).
     Sinkhorn,
 }
 
@@ -49,11 +51,20 @@ pub enum SolverUsed {
 /// quantize both onto one shared grid (so both distributions share a
 /// support, as Definition 1 requires), and solve the transportation problem
 /// between the occupied cells.
+///
+/// The exact solve transports only the moved mass. The ground cost is the
+/// Euclidean distance between cell centres of one grid, a metric, so some
+/// optimal plan leaves `min(a_i, b_i)` in place at every cell (a cell that
+/// both ships mass out and takes mass in can be bypassed at no extra cost,
+/// by the triangle inequality). The solver therefore sees only the
+/// residual cells, `a − min(a, b)` against `b − min(a, b)`, and two clouds
+/// with equal histograms score exactly `0.0` with no solve.
 #[derive(Debug, Clone)]
 pub struct GridEmd {
     bins_per_axis: usize,
     scaling: DistanceScaling,
-    /// When `occupied_a * occupied_b` exceeds this, fall back to Sinkhorn.
+    /// When the residual product `|r_a| × |r_b|` exceeds this, fall back
+    /// to Sinkhorn.
     max_exact_cells: usize,
     sinkhorn_params: SinkhornParams,
     /// How the per-axis ranges are chosen.
@@ -109,7 +120,10 @@ impl GridEmd {
         self
     }
 
-    /// Sets the exact-solver budget (product of occupied cell counts).
+    /// Sets the exact-solver budget: the largest residual product
+    /// `|r_a| × |r_b|` — the numbers of cells where one side's mass
+    /// exceeds the other's — solved exactly. Larger residuals fall back to
+    /// Sinkhorn on the full signatures.
     pub fn with_max_exact_cells(mut self, cells: usize) -> Self {
         self.max_exact_cells = cells;
         self
@@ -147,44 +161,52 @@ impl GridEmd {
     /// reported in the diagnostics.
     pub fn distance(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<GridEmdReport> {
         let columns = sorted_union_columns(a, b).ok_or(EmdError::EmptyInput)?;
-        let spec = self.spec_from_sorted_columns(&columns);
+        let union: Vec<UnionColumn<'_>> = columns
+            .iter()
+            .map(|c| UnionColumn::Pair(c.as_slice(), &[]))
+            .collect();
+        let spec = self.spec_for(&union);
         let qa = quantize(&spec, a);
         if qa.total == 0.0 {
             return Err(EmdError::EmptyInput);
         }
-        let scale = self.axis_scale(&spec);
-        let sig_a = scaled_signature(qa.pairs, &scale)?;
         let qb = quantize(&spec, b);
-        self.solve_pair(&scale, &sig_a, qa.occupied, qa.skipped, qb)
+        self.solve_pair(&spec, &qa, &qb)
     }
 
     /// Like [`GridEmd::distance`], but with the first cloud's quantization
     /// state served from a [`SignatureCache`]: the cached sorted columns
-    /// feed the cover rule (merged with `b`'s columns instead of re-sorting
-    /// the union), and the cached cloud's histogram/signature for the
-    /// resulting grid is built at most once per distinct `(spec, scaling)`.
+    /// feed the cover rule (paired with `b`'s columns instead of re-sorting
+    /// the union), and the cached cloud's histogram for the resulting grid
+    /// is built at most once per distinct grid.
     ///
     /// Bit-identical to `self.distance(cache.rows(), b)`: both paths share
-    /// the sorted-column cover constructors and the same signature/solver
+    /// the rank-selected cover rules and the same quantization/solver
     /// pipeline.
     pub fn distance_cached(&self, cache: &SignatureCache, b: &[Vec<f64>]) -> Result<GridEmdReport> {
         if cache.rows().is_empty() {
             return Err(EmdError::EmptyInput);
         }
         let b_columns = cache.counterpart_columns(b);
-        let spec = self.spec_from_column_pairs(cache.sorted_columns(), &b_columns);
-        let scale = self.axis_scale(&spec);
-        let side = cache.side_for(&spec, &scale)?;
+        let union: Vec<UnionColumn<'_>> = cache
+            .sorted_columns()
+            .iter()
+            .zip(&b_columns)
+            .map(|(a, b)| UnionColumn::Pair(a, b))
+            .collect();
+        let spec = self.spec_for(&union);
+        let side = cache.side_for(&spec)?;
         let qb = quantize(&spec, b);
-        self.solve_pair(&scale, &side.signature, side.occupied, side.skipped, qb)
+        self.solve_pair(&spec, &side.quant, &qb)
     }
 
     /// EMD between the cached cloud and a [`PatchedCloud`] counterpart
     /// (the cleaned sample as sparse row edits against the dirty one).
-    /// The cover rule consumes derived sorted columns, and the counterpart
-    /// histogram is the cached histogram with only the edited rows
-    /// re-binned. Bit-identical to
-    /// `self.distance(cache.rows(), &patched.materialize())`.
+    /// The cover rule reads its quantiles from the cached sorted columns
+    /// and the edited rows' values ([`PatchedCloud::union_columns`]) — no
+    /// patched column is materialized — and the counterpart histogram is
+    /// the cached histogram with only the edited rows re-binned.
+    /// Bit-identical to `self.distance(cache.rows(), &patched.materialize())`.
     ///
     /// ```
     /// use sd_emd::{GridEmd, PatchedCloud, SignatureCache};
@@ -216,48 +238,24 @@ impl GridEmd {
         if cache.rows().is_empty() {
             return Err(EmdError::EmptyInput);
         }
-        let b_columns = patched.sorted_columns();
-        let spec = self.spec_from_column_pairs(cache.sorted_columns(), b_columns);
-        let scale = self.axis_scale(&spec);
-        let side = cache.side_for(&spec, &scale)?;
+        let spec = self.spec_for(&patched.union_columns());
+        let side = cache.side_for(&spec)?;
         let qb = patched.quantize_on(&spec, &side.quant);
-        self.solve_pair(&scale, &side.signature, side.occupied, side.skipped, qb)
+        self.solve_pair(&spec, &side.quant, &qb)
     }
 
-    /// The grid spec for pre-sorted per-axis union columns, under this
-    /// pipeline's cover rule.
-    fn spec_from_sorted_columns(&self, columns: &[Vec<f64>]) -> GridSpec {
+    /// The grid spec for per-axis union columns under this pipeline's
+    /// cover rule — the one cover dispatch every path shares.
+    fn spec_for(&self, columns: &[UnionColumn<'_>]) -> GridSpec {
         match self.cover {
             CoverRule::MinMax => {
-                GridSpec::from_sorted_columns_quantiles(columns, self.bins_per_axis, 0.0, 1.0)
+                GridSpec::from_union_columns_quantiles(columns, self.bins_per_axis, 0.0, 1.0)
             }
             CoverRule::Quantile(qlo, qhi) => {
-                GridSpec::from_sorted_columns_quantiles(columns, self.bins_per_axis, qlo, qhi)
+                GridSpec::from_union_columns_quantiles(columns, self.bins_per_axis, qlo, qhi)
             }
             CoverRule::Robust { z } => {
-                GridSpec::from_sorted_columns_robust(columns, self.bins_per_axis, z)
-            }
-        }
-    }
-
-    /// The grid spec when each axis's union column is split into two
-    /// sorted halves (cached side + counterpart side) — same cover rules,
-    /// quantiles read by rank selection instead of merging.
-    fn spec_from_column_pairs(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> GridSpec {
-        let pairs: Vec<(&[f64], &[f64])> = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| (x.as_slice(), y.as_slice()))
-            .collect();
-        match self.cover {
-            CoverRule::MinMax => {
-                GridSpec::from_sorted_column_pairs_quantiles(&pairs, self.bins_per_axis, 0.0, 1.0)
-            }
-            CoverRule::Quantile(qlo, qhi) => {
-                GridSpec::from_sorted_column_pairs_quantiles(&pairs, self.bins_per_axis, qlo, qhi)
-            }
-            CoverRule::Robust { z } => {
-                GridSpec::from_sorted_column_pairs_robust(&pairs, self.bins_per_axis, z)
+                GridSpec::from_union_columns_robust(columns, self.bins_per_axis, z)
             }
         }
     }
@@ -281,33 +279,47 @@ impl GridEmd {
         }
     }
 
-    /// Shared back half of the pipeline: solve the transportation problem
-    /// between the prepared `a` side and the quantized `b` side. Exact
-    /// solves run on this thread's shared cold arena — pure allocation
-    /// reuse, bit-identical to a standalone [`crate::TransportProblem`]
-    /// solve.
+    /// Shared back half of the pipeline: the EMD between two quantizations
+    /// of one grid (`qa` non-empty).
+    ///
+    /// The exact branch solves only the residual (see the type docs):
+    /// cells are matched by grid index, and the residual masses are
+    /// differences of the unnormalized `count / total` probabilities, so
+    /// cells with equal masses leave no rounding dust. The residual solve
+    /// runs on this thread's shared cold arena and its normalized value is
+    /// scaled back by the residual mass. Sinkhorn, chosen when the
+    /// residual product exceeds `max_exact_cells`, runs on the full
+    /// signatures.
     fn solve_pair(
         &self,
-        scale: &[f64],
-        sig_a: &Signature,
-        occupied_a: usize,
-        skipped_a: usize,
-        qb: crate::signature::CloudQuant,
+        spec: &GridSpec,
+        qa: &CloudQuant,
+        qb: &CloudQuant,
     ) -> Result<GridEmdReport> {
         if qb.total == 0.0 {
             return Err(EmdError::EmptyInput);
         }
-        let occupied_b = qb.occupied;
-        let skipped_b = qb.skipped;
-        let sig_b = scaled_signature(qb.pairs, scale)?;
-
-        let exact = sig_a.len() * sig_b.len() <= self.max_exact_cells;
-        let emd = if exact {
-            let wa = sig_a.normalized_weights();
-            let wb = sig_b.normalized_weights();
-            let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-            crate::batch::with_cold_arena(|arena| arena.solve_cold(&wa, &wb, &cost))?
+        let (res_a, res_b) = residual(qa, qb);
+        let scale = self.axis_scale(spec);
+        let exact = res_a.len() * res_b.len() <= self.max_exact_cells;
+        let emd = if res_a.is_empty() || res_b.is_empty() {
+            // Both sides carry unit mass, so a one-sided residual can only
+            // be rounding dust: the histograms are equal.
+            0.0
+        } else if exact {
+            let points = |q: &CloudQuant, res: &[(usize, f64)]| -> Vec<Vec<f64>> {
+                res.iter()
+                    .map(|&(i, _)| scaled_point(&q.pairs[i].0, &scale))
+                    .collect()
+            };
+            let wa: Vec<f64> = res_a.iter().map(|&(_, w)| w).collect();
+            let wb: Vec<f64> = res_b.iter().map(|&(_, w)| w).collect();
+            let cost = crate::ground_distance_matrix(&points(qa, &res_a), &points(qb, &res_b));
+            let moved: f64 = wa.iter().sum();
+            crate::batch::with_cold_arena(|arena| arena.solve_cold(&wa, &wb, &cost))? * moved
         } else {
+            let sig_a = scaled_signature(qa.pairs.clone(), &scale)?;
+            let sig_b = scaled_signature(qb.pairs.clone(), &scale)?;
             let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
             // Debiased Sinkhorn divergence: the raw entropic cost has a
             // positive floor even for identical distributions (the plan is
@@ -326,10 +338,10 @@ impl GridEmd {
 
         Ok(GridEmdReport {
             emd,
-            occupied_a,
-            occupied_b,
-            skipped_a,
-            skipped_b,
+            occupied_a: qa.occupied,
+            occupied_b: qb.occupied,
+            skipped_a: qa.skipped,
+            skipped_b: qb.skipped,
             solver: if exact {
                 SolverUsed::Simplex
             } else {
@@ -337,6 +349,49 @@ impl GridEmd {
             },
         })
     }
+}
+
+/// One side's residual: `(pair index, excess mass)` per cell.
+type Residual = Vec<(usize, f64)>;
+
+/// The moved mass of two quantizations of one grid: `(pair index, mass)`
+/// of every cell where `qa`'s probability exceeds `qb`'s, and vice versa,
+/// with the excess as the mass. Both pair lists are in ascending cell
+/// order, so one merge walk matches their cells.
+fn residual(qa: &CloudQuant, qb: &CloudQuant) -> (Residual, Residual) {
+    let (na, nb) = (qa.pairs.len(), qb.pairs.len());
+    let (mut res_a, mut res_b) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while i < na || j < nb {
+        let order = if i == na {
+            Ordering::Greater
+        } else if j == nb {
+            Ordering::Less
+        } else {
+            qa.cell(i).cmp(qb.cell(j))
+        };
+        match order {
+            Ordering::Less => {
+                res_a.push((i, qa.pairs[i].1));
+                i += 1;
+            }
+            Ordering::Greater => {
+                res_b.push((j, qb.pairs[j].1));
+                j += 1;
+            }
+            Ordering::Equal => {
+                let (x, y) = (qa.pairs[i].1, qb.pairs[j].1);
+                if x > y {
+                    res_a.push((i, x - y));
+                } else if y > x {
+                    res_b.push((j, y - x));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (res_a, res_b)
 }
 
 #[cfg(test)]
@@ -428,20 +483,32 @@ mod tests {
         let a: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![(i % 8) as f64, (i / 8) as f64])
             .collect();
-        let b: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i % 8) as f64 + 0.4, (i / 8) as f64])
-            .collect();
-        let report = GridEmd::new(8)
+        let shifted = |dx: f64| -> Vec<Vec<f64>> {
+            (0..40)
+                .map(|i| vec![(i % 8) as f64 + dx, (i / 8) as f64])
+                .collect()
+        };
+        let g = GridEmd::new(8)
             .with_max_exact_cells(4)
             .with_sinkhorn_params(SinkhornParams {
                 regularization: 0.1,
                 max_iterations: 50_000,
                 tolerance: 1e-8,
-            })
-            .distance(&a, &b)
-            .unwrap();
+            });
+        // The budget bounds the residual: a 0.4 shift leaves every point
+        // in its cell, so nothing moves and no solver runs.
+        let still = g.distance(&a, &shifted(0.4)).unwrap();
+        assert_eq!(still.solver, SolverUsed::Simplex);
+        assert_eq!(still.emd.to_bits(), 0u64);
+        // A 3.0 shift moves mass between 4 × 2 residual cells.
+        let report = g.distance(&a, &shifted(3.0)).unwrap();
         assert_eq!(report.solver, SolverUsed::Sinkhorn);
-        assert!(report.emd.is_finite());
+        assert!(report.emd.is_finite() && report.emd > 0.0);
+        let exact = g
+            .with_max_exact_cells(8)
+            .distance(&a, &shifted(3.0))
+            .unwrap();
+        assert_eq!(exact.solver, SolverUsed::Simplex);
     }
 
     #[test]

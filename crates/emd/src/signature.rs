@@ -1,6 +1,6 @@
 use crate::{EmdError, Result};
 use parking_lot::Mutex;
-use sd_stats::{sorted_union_columns, GridHistogram, GridSpec};
+use sd_stats::{sorted_union_columns, GridHistogram, GridSpec, UnionColumn};
 use std::sync::{Arc, OnceLock};
 
 /// A discrete distribution: weighted points in `R^d`.
@@ -101,20 +101,20 @@ impl Signature {
 
 /// A signature whose point coordinates were divided per-axis before
 /// construction, built from `(cell centre, probability)` pairs — e.g. a
-/// [`CloudQuant`]'s pairs. Shared by every [`crate::GridEmd`] path and by
-/// external distortion kernels that score quantized clouds on other
-/// distances (energy distance, KL) while reusing this crate's caches.
+/// [`CloudQuant`]'s pairs. Used by [`crate::GridEmd`]'s Sinkhorn fallback
+/// and by external distortion kernels that score quantized clouds on other
+/// distances (energy distance) while reusing this crate's caches.
 pub fn scaled_signature(pairs: Vec<(Vec<f64>, f64)>, scale: &[f64]) -> Result<Signature> {
     let scaled: Vec<(Vec<f64>, f64)> = pairs
         .into_iter()
-        .map(|(mut point, w)| {
-            for (x, s) in point.iter_mut().zip(scale) {
-                *x /= s;
-            }
-            (point, w)
-        })
+        .map(|(point, w)| (scaled_point(&point, scale), w))
         .collect();
     Signature::from_pairs(scaled)
+}
+
+/// A point with each coordinate divided by its axis's scale.
+pub(crate) fn scaled_point(point: &[f64], scale: &[f64]) -> Vec<f64> {
+    point.iter().zip(scale).map(|(x, s)| x / s).collect()
 }
 
 /// Grids at most this many cells use the dense flat-array histogram.
@@ -146,14 +146,17 @@ fn flat_cell_of(spec: &GridSpec, point: &[f64]) -> Option<usize> {
     Some(idx)
 }
 
-/// One cloud quantized onto a grid: signature pairs plus histogram
-/// diagnostics, and — on the dense path — the raw per-cell counts, which
-/// the patched-cloud pipeline edits incrementally.
+/// One cloud quantized onto a grid: signature pairs with their grid cells,
+/// histogram diagnostics, and — on the dense path — the raw per-cell
+/// counts, which the patched-cloud pipeline edits incrementally.
 ///
 /// Dense and sparse paths are interchangeable bit for bit: per-cell masses
 /// are exact integer counts (sums of 1.0), the pair order is ascending
 /// cell order in both (flat row-major index ⇔ lexicographic cell vector),
-/// and centres come from the same [`GridSpec::center_of`].
+/// and centres come from the same [`GridSpec::center_of`]. Two
+/// quantizations on one grid match their cells through
+/// [`CloudQuant::cell`], never through centre floats (adjacent centres of
+/// a very narrow axis can round to the same value).
 ///
 /// Public so distortion kernels outside this crate (KL, energy distance)
 /// can score the same cached quantizations the EMD pipeline uses.
@@ -168,8 +171,21 @@ pub struct CloudQuant {
     pub skipped: usize,
     /// Occupied cells.
     pub occupied: usize,
-    /// `(cell centre, probability)` in ascending cell order.
+    /// `(cell centre, probability)` in ascending cell order; the
+    /// probability is the cell's count divided by [`CloudQuant::total`].
     pub pairs: Vec<(Vec<f64>, f64)>,
+    /// Grid coordinates of each pair's cell, one per axis, concatenated
+    /// in pair order (read them through [`CloudQuant::cell`]).
+    pub cells: Vec<u32>,
+}
+
+impl CloudQuant {
+    /// Grid coordinates of the `i`-th pair's cell. Ascending `i` is
+    /// ascending lexicographic cell order.
+    pub fn cell(&self, i: usize) -> &[u32] {
+        let dim = self.pairs[i].0.len();
+        &self.cells[i * dim..(i + 1) * dim]
+    }
 }
 
 /// Quantizes a cloud onto a grid, taking the dense flat-array path when
@@ -207,12 +223,25 @@ pub fn quantize(spec: &GridSpec, rows: &[Vec<f64>]) -> CloudQuant {
         }
         None => {
             let hist = GridHistogram::from_points(spec.clone(), rows);
+            let total = hist.total();
+            let masses = hist.cell_masses();
+            let mut cells = Vec::with_capacity(masses.len() * spec.dim());
+            // The same centres and `mass / total` as
+            // `GridHistogram::signature`.
+            let pairs = masses
+                .into_iter()
+                .map(|(cell, mass)| {
+                    cells.extend_from_slice(&cell);
+                    (spec.center_of(&cell), mass / total)
+                })
+                .collect();
             CloudQuant {
                 counts: None,
-                total: hist.total(),
+                total,
                 skipped: hist.skipped(),
                 occupied: hist.occupied(),
-                pairs: hist.signature(),
+                pairs,
+                cells,
             }
         }
     }
@@ -222,6 +251,7 @@ pub fn quantize(spec: &GridSpec, rows: &[Vec<f64>]) -> CloudQuant {
 /// ascending flat (= lexicographic) cell order.
 fn dense_quant(spec: &GridSpec, counts: Vec<f64>, total: f64, skipped: usize) -> CloudQuant {
     let mut pairs = Vec::new();
+    let mut cells = Vec::new();
     let mut occupied = 0usize;
     if total > 0.0 {
         let dims: Vec<usize> = spec.axes().iter().map(|ax| ax.bins).collect();
@@ -237,6 +267,7 @@ fn dense_quant(spec: &GridSpec, counts: Vec<f64>, total: f64, skipped: usize) ->
                 rem /= bins;
             }
             pairs.push((spec.center_of(&cell), mass / total));
+            cells.extend_from_slice(&cell);
         }
     }
     CloudQuant {
@@ -245,26 +276,19 @@ fn dense_quant(spec: &GridSpec, counts: Vec<f64>, total: f64, skipped: usize) ->
         skipped,
         occupied,
         pairs,
+        cells,
     }
 }
 
-/// One memoized quantization of the cached cloud: its scaled signature and
-/// histogram diagnostics for a particular `(grid, scale)`.
+/// One memoized quantization of the cached cloud on a particular grid.
 #[derive(Debug)]
 pub struct CachedSide {
     spec: GridSpec,
-    scale: Vec<f64>,
     /// The full quantization, including dense counts when the grid fits
     /// the dense budget (the patched-cloud pipeline — and any external
     /// kernel calling [`PatchedCloud::quantize_on`] — edits a copy of
     /// them).
     pub quant: CloudQuant,
-    /// The scaled signature of the cached cloud on this grid.
-    pub signature: Signature,
-    /// Occupied cells of the cached cloud's histogram.
-    pub occupied: usize,
-    /// Rows skipped (missing coordinate) while histogramming.
-    pub skipped: usize,
 }
 
 /// Quantization cache for one fixed point cloud that is compared against
@@ -277,14 +301,14 @@ pub struct CachedSide {
 /// 1. the cloud's per-axis **sorted columns**, so the shared-support cover
 ///    rule merges pre-sorted columns instead of re-sorting the union for
 ///    every comparison;
-/// 2. the cloud's **histogram + scaled signature per distinct grid**, so
-///    comparisons that land on the same grid (e.g. a no-op strategy, or
-///    repeated scoring) skip quantization entirely.
+/// 2. the cloud's **quantization per distinct grid**, so comparisons that
+///    land on the same grid (e.g. a no-op strategy, or repeated scoring)
+///    skip quantization entirely.
 ///
 /// All methods take `&self`; the memo is internally synchronized, so one
 /// cache can be shared across worker threads via `Arc`. Results are
 /// bit-identical to the uncached pipeline regardless of hit/miss order:
-/// every memoized value is a pure function of `(cloud, grid, scale)`.
+/// every memoized value is a pure function of `(cloud, grid)`.
 #[derive(Debug)]
 pub struct SignatureCache {
     rows: Vec<Vec<f64>>,
@@ -310,7 +334,7 @@ impl SignatureCache {
         &self.rows
     }
 
-    /// Number of memoized `(grid, scale)` quantizations.
+    /// Number of memoized grid quantizations.
     pub fn memoized(&self) -> usize {
         self.memo.lock().len()
     }
@@ -345,13 +369,13 @@ impl SignatureCache {
         out
     }
 
-    /// The cached cloud's quantization for `(spec, scale)`, built on first
-    /// use and memoized. Errors with [`EmdError::EmptyInput`] when the
-    /// cloud contributes no density on the grid (no complete rows).
-    pub fn side_for(&self, spec: &GridSpec, scale: &[f64]) -> Result<Arc<CachedSide>> {
+    /// The cached cloud's quantization on `spec`, built on first use and
+    /// memoized. Errors with [`EmdError::EmptyInput`] when the cloud
+    /// contributes no density on the grid (no complete rows).
+    pub fn side_for(&self, spec: &GridSpec) -> Result<Arc<CachedSide>> {
         {
             let memo = self.memo.lock();
-            if let Some(entry) = memo.iter().find(|e| e.spec == *spec && e.scale == scale) {
+            if let Some(entry) = memo.iter().find(|e| e.spec == *spec) {
                 return Ok(Arc::clone(entry));
             }
         }
@@ -362,17 +386,12 @@ impl SignatureCache {
         if quant.total == 0.0 {
             return Err(EmdError::EmptyInput);
         }
-        let signature = scaled_signature(quant.pairs.clone(), scale)?;
         let entry = Arc::new(CachedSide {
             spec: spec.clone(),
-            scale: scale.to_vec(),
-            occupied: quant.occupied,
-            skipped: quant.skipped,
             quant,
-            signature,
         });
         let mut memo = self.memo.lock();
-        if let Some(existing) = memo.iter().find(|e| e.spec == *spec && e.scale == scale) {
+        if let Some(existing) = memo.iter().find(|e| e.spec == *spec) {
             return Ok(Arc::clone(existing));
         }
         memo.push(Arc::clone(&entry));
@@ -386,8 +405,9 @@ impl SignatureCache {
 ///
 /// This is how the experiment engine hands a *cleaned* sample to the EMD
 /// pipeline: the cleaned cloud is the dirty cloud with a few percent of
-/// rows rewritten, so its sorted columns are derived from the cached
-/// sorted columns in `O(N + k log k)` (remove old values, merge new ones)
+/// rows rewritten. Its grid cover reads quantiles of the cached sorted
+/// columns and the `k` edited rows' removed and added values by rank
+/// selection ([`PatchedCloud::union_columns`], `O(log² N)` per quantile),
 /// and — on dense grids — its histogram is the cached histogram with `k`
 /// rows re-binned, instead of re-sorting and re-binning all `N` rows per
 /// comparison. All derivations are exact: per-cell masses are integer
@@ -399,9 +419,21 @@ pub struct PatchedCloud<'a> {
     cache: &'a SignatureCache,
     /// `(row index, replacement row)`, ascending and unique by row.
     edits: Vec<(usize, Vec<f64>)>,
-    /// Derived sorted columns, memoized so every kernel scoring this
-    /// patched cloud (EMD, KL, KS, …) shares one derivation.
+    /// Per axis, the edited rows' present old and new values, each sorted
+    /// by [`f64::total_cmp`]; memoized so every kernel scoring this
+    /// patched cloud shares one derivation.
+    edit_columns_memo: OnceLock<Vec<EditColumn>>,
+    /// Derived sorted columns, memoized for the marginal kernels (KS,
+    /// Cramér–von Mises).
     columns_memo: OnceLock<Vec<Vec<f64>>>,
+}
+
+/// One axis of a patch: the values it removes from and adds to the
+/// cached column, each ascending by [`f64::total_cmp`].
+#[derive(Debug)]
+struct EditColumn {
+    removed: Vec<f64>,
+    added: Vec<f64>,
 }
 
 impl<'a> PatchedCloud<'a> {
@@ -422,6 +454,7 @@ impl<'a> PatchedCloud<'a> {
         PatchedCloud {
             cache,
             edits,
+            edit_columns_memo: OnceLock::new(),
             columns_memo: OnceLock::new(),
         }
     }
@@ -451,35 +484,64 @@ impl<'a> PatchedCloud<'a> {
         rows
     }
 
+    /// Per-axis sorted removed/added values of the edited rows.
+    fn edit_columns(&self) -> &[EditColumn] {
+        self.edit_columns_memo.get_or_init(|| {
+            (0..self.cache.sorted_columns.len())
+                .map(|k| {
+                    let mut removed = Vec::with_capacity(self.edits.len());
+                    let mut added = Vec::with_capacity(self.edits.len());
+                    for (row, new_row) in &self.edits {
+                        let old = self.cache.rows()[*row][k];
+                        if !old.is_nan() {
+                            removed.push(old);
+                        }
+                        if !new_row[k].is_nan() {
+                            added.push(new_row[k]);
+                        }
+                    }
+                    removed.sort_by(f64::total_cmp);
+                    added.sort_by(f64::total_cmp);
+                    EditColumn { removed, added }
+                })
+                .collect()
+        })
+    }
+
+    /// Per-axis union of the cached cloud and this patched cloud, as the
+    /// grid-cover input: each axis is the cached sorted column pooled with
+    /// its patched copy ([`UnionColumn::Patched`]), read by rank selection
+    /// without materializing the patched column. Cover quantiles read from
+    /// it are bit-identical to those of the cached and materialized sorted
+    /// columns.
+    pub fn union_columns(&self) -> Vec<UnionColumn<'_>> {
+        self.cache
+            .sorted_columns
+            .iter()
+            .zip(self.edit_columns())
+            .map(|(base, edit)| UnionColumn::Patched {
+                base,
+                removed: &edit.removed,
+                added: &edit.added,
+            })
+            .collect()
+    }
+
     /// Per-axis sorted columns of the patched cloud, derived from the
     /// cached sorted columns: remove each edited row's old value, merge in
     /// its new value. Multiset edits under [`f64::total_cmp`] are
     /// bit-precise, so the result equals sorting the materialized cloud
-    /// from scratch. Derived once and memoized — every kernel scoring this
-    /// patched cloud shares the same columns.
+    /// from scratch. `O(N)` per axis; derived once and memoized for the
+    /// marginal kernels (KS, Cramér–von Mises) — the grid covers read
+    /// [`PatchedCloud::union_columns`] instead.
     pub fn sorted_columns(&self) -> &[Vec<f64>] {
         self.columns_memo.get_or_init(|| {
-            let dim = self.cache.sorted_columns.len();
-            let mut out = Vec::with_capacity(dim);
-            let mut removed = Vec::new();
-            let mut added = Vec::new();
-            for (k, col) in self.cache.sorted_columns.iter().enumerate() {
-                removed.clear();
-                added.clear();
-                for (row, new_row) in &self.edits {
-                    let old = self.cache.rows()[*row][k];
-                    if !old.is_nan() {
-                        removed.push(old);
-                    }
-                    if !new_row[k].is_nan() {
-                        added.push(new_row[k]);
-                    }
-                }
-                removed.sort_by(f64::total_cmp);
-                added.sort_by(f64::total_cmp);
-                out.push(remove_then_merge(col, &removed, &added));
-            }
-            out
+            self.cache
+                .sorted_columns
+                .iter()
+                .zip(self.edit_columns())
+                .map(|(col, edit)| remove_then_merge(col, &edit.removed, &edit.added))
+                .collect()
         })
     }
 

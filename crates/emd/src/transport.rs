@@ -118,8 +118,11 @@ pub(crate) fn northwest_corner_into(
             break;
         }
         // Advance along the exhausted side; on ties prefer the row so a
-        // degenerate zero-flow basic cell keeps the basis a tree.
-        if s[i] <= d[j] && i + 1 < n {
+        // degenerate zero-flow basic cell keeps the basis a tree. Once on
+        // the last column, rounding can leave supply on row `i` after the
+        // demand is used up; the walk must still move down the rows (the
+        // final cell absorbs the residue).
+        if (s[i] <= d[j] || j + 1 == m) && i + 1 < n {
             i += 1;
         } else {
             j += 1;

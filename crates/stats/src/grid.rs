@@ -1,4 +1,4 @@
-use crate::HistogramSpec;
+use crate::{HistogramSpec, UnionColumn};
 use std::collections::BTreeMap;
 
 /// Uniform binning of a `d`-dimensional box: one [`HistogramSpec`] per axis.
@@ -13,9 +13,6 @@ use std::collections::BTreeMap;
 pub struct GridSpec {
     axes: Vec<HistogramSpec>,
 }
-
-/// Empty column half for the single-column pair delegations.
-const EMPTY: &[f64] = &[];
 
 impl GridSpec {
     /// Creates a grid from per-axis specs (at least one axis).
@@ -66,19 +63,17 @@ impl GridSpec {
         qlo: f64,
         qhi: f64,
     ) -> Self {
-        let pairs: Vec<(&[f64], &[f64])> = columns.iter().map(|c| (c.as_slice(), EMPTY)).collect();
-        Self::from_sorted_column_pairs_quantiles(&pairs, bins, qlo, qhi)
+        Self::from_union_columns_quantiles(&whole_columns(columns), bins, qlo, qhi)
     }
 
-    /// Quantile cover where each axis's union column is given as **two**
-    /// sorted halves (e.g. a cached cloud's column and a derived
-    /// counterpart column): quantiles are read by two-array rank selection
-    /// ([`crate::quantile_of_sorted_pair`]), so the union is never
-    /// materialized. This is the single implementation behind every
-    /// quantile cover — the merged-column entry points delegate here with
-    /// an empty second half.
-    pub fn from_sorted_column_pairs_quantiles(
-        pairs: &[(&[f64], &[f64])],
+    /// Quantile cover where each axis's union column is given as sorted
+    /// pieces ([`UnionColumn`]: a cached cloud's column with a counterpart
+    /// column, or with its own patched copy). Quantiles are read by rank
+    /// selection, so the union is never materialized. This is the single
+    /// implementation behind every quantile cover — the merged-column
+    /// entry points delegate here.
+    pub fn from_union_columns_quantiles(
+        columns: &[UnionColumn<'_>],
         bins: usize,
         qlo: f64,
         qhi: f64,
@@ -87,13 +82,10 @@ impl GridSpec {
             (0.0..=1.0).contains(&qlo) && (0.0..=1.0).contains(&qhi) && qlo < qhi,
             "quantiles must satisfy 0 <= qlo < qhi <= 1"
         );
-        assert!(!pairs.is_empty(), "grid needs at least one axis");
-        let mut axes = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
-            let (Some(lo), Some(hi)) = (
-                crate::quantile_of_sorted_pair(a, b, qlo),
-                crate::quantile_of_sorted_pair(a, b, qhi),
-            ) else {
+        assert!(!columns.is_empty(), "grid needs at least one axis");
+        let mut axes = Vec::with_capacity(columns.len());
+        for column in columns {
+            let (Some(lo), Some(hi)) = (column.quantile(qlo), column.quantile(qhi)) else {
                 axes.push(HistogramSpec::new(0.0, 0.0, bins));
                 continue;
             };
@@ -127,26 +119,25 @@ impl GridSpec {
     /// delegates here; see [`GridSpec::from_sorted_columns_quantiles`] for
     /// the caching rationale.
     pub fn from_sorted_columns_robust(columns: &[Vec<f64>], bins: usize, z_range: f64) -> Self {
-        let pairs: Vec<(&[f64], &[f64])> = columns.iter().map(|c| (c.as_slice(), EMPTY)).collect();
-        Self::from_sorted_column_pairs_robust(&pairs, bins, z_range)
+        Self::from_union_columns_robust(&whole_columns(columns), bins, z_range)
     }
 
-    /// Robust cover over per-axis sorted column **pairs**; see
-    /// [`GridSpec::from_sorted_column_pairs_quantiles`] for the pair
-    /// representation. Single implementation behind every robust cover.
-    pub fn from_sorted_column_pairs_robust(
-        pairs: &[(&[f64], &[f64])],
+    /// Robust cover over per-axis [`UnionColumn`]s; see
+    /// [`GridSpec::from_union_columns_quantiles`]. Single implementation
+    /// behind every robust cover.
+    pub fn from_union_columns_robust(
+        columns: &[UnionColumn<'_>],
         bins: usize,
         z_range: f64,
     ) -> Self {
         assert!(z_range > 0.0, "z_range must be positive");
-        assert!(!pairs.is_empty(), "grid needs at least one axis");
-        let mut axes = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
+        assert!(!columns.is_empty(), "grid needs at least one axis");
+        let mut axes = Vec::with_capacity(columns.len());
+        for column in columns {
             let (Some(median), Some(q1), Some(q3)) = (
-                crate::quantile_of_sorted_pair(a, b, 0.5),
-                crate::quantile_of_sorted_pair(a, b, 0.25),
-                crate::quantile_of_sorted_pair(a, b, 0.75),
+                column.quantile(0.5),
+                column.quantile(0.25),
+                column.quantile(0.75),
             ) else {
                 axes.push(HistogramSpec::new(0.0, 0.0, bins));
                 continue;
@@ -159,8 +150,8 @@ impl GridSpec {
                     bins,
                 ));
             } else {
-                let lo = crate::select_sorted_pair(a, b, 0);
-                let hi = crate::select_sorted_pair(a, b, a.len() + b.len() - 1);
+                let lo = column.select(0);
+                let hi = column.select(column.len() - 1);
                 axes.push(HistogramSpec::new(lo, hi, bins));
             }
         }
@@ -198,6 +189,14 @@ impl GridSpec {
             .map(|(spec, &i)| spec.center(i as usize))
             .collect()
     }
+}
+
+/// Merged sorted columns as single-piece [`UnionColumn`]s.
+fn whole_columns(columns: &[Vec<f64>]) -> Vec<UnionColumn<'_>> {
+    columns
+        .iter()
+        .map(|c| UnionColumn::Pair(c.as_slice(), &[]))
+        .collect()
 }
 
 /// Per-axis sorted (by [`f64::total_cmp`]), NaN-free columns of the union

@@ -28,7 +28,8 @@ pub use histogram::{Histogram, HistogramSpec};
 pub use kl::{jensen_shannon_divergence, kl_divergence};
 pub use pairwise::SumTree;
 pub use quantile::{
-    median, quantile, quantile_of_sorted, quantile_of_sorted_pair, select_sorted_pair,
+    median, quantile, quantile_of_sorted, quantile_of_sorted_pair, select_patched_pair,
+    select_sorted_pair, UnionColumn,
 };
 pub use summary::Summary;
 pub use transform::AttributeTransform;

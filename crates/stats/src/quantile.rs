@@ -52,21 +52,110 @@ pub fn select_sorted_pair(a: &[f64], b: &[f64], k: usize) -> f64 {
 /// bit-identical to `quantile_of_sorted(&merge(a, b), q)` with the merge
 /// elided (two rank selections instead of an `O(n)` copy).
 pub fn quantile_of_sorted_pair(a: &[f64], b: &[f64], q: f64) -> Option<f64> {
-    let len = a.len() + b.len();
-    if len == 0 {
-        return None;
+    UnionColumn::Pair(a, b).quantile(q)
+}
+
+/// Element at ascending rank `k` (0-based, by [`f64::total_cmp`]) of the
+/// multiset `base ⊎ (base − removed + added)` — a sorted column pooled
+/// with a patched copy of itself — without materializing the patched
+/// copy. All three slices are ascending by [`f64::total_cmp`], and
+/// `removed` must be a sub-multiset of `base`. Equal values are
+/// interchangeable, so the result is bit-identical to
+/// [`select_sorted_pair`] on `base` and the materialized patched column.
+///
+/// Costs `O(log n · (log n + log k))` for a column of `n` values and `k`
+/// edits: a binary search over the monotone count
+/// `2·#base≤x − #removed≤x + #added≤x`.
+pub fn select_patched_pair(base: &[f64], removed: &[f64], added: &[f64], k: usize) -> f64 {
+    let len = 2 * base.len() + added.len() - removed.len();
+    assert!(k < len, "rank out of range");
+    // Number of union elements at or below `x`.
+    let at_or_below = |x: &f64| {
+        let le = |s: &[f64]| s.partition_point(|y| y.total_cmp(x).is_le());
+        2 * le(base) + le(added) - le(removed)
+    };
+    // Every union element comes from `base` or `added`; the rank-`k`
+    // element is the smallest with more than `k` elements at or below it.
+    let i = base.partition_point(|x| at_or_below(x) <= k);
+    let j = added.partition_point(|x| at_or_below(x) <= k);
+    // The union's maximum is `base`'s or `added`'s last element and has
+    // `len > k` elements at or below it, so one side holds a candidate.
+    if i < base.len() && (j == added.len() || base[i].total_cmp(&added[j]).is_le()) {
+        base[i]
+    } else {
+        added[j]
     }
-    let q = q.clamp(0.0, 1.0);
-    let h = q * (len as f64 - 1.0);
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        return Some(select_sorted_pair(a, b, lo));
+}
+
+/// One axis of a grid-cover input: a multiset of values given as sorted
+/// pieces that are read by rank selection and never merged.
+#[derive(Debug, Clone, Copy)]
+pub enum UnionColumn<'a> {
+    /// `a ⊎ b`, both ascending by [`f64::total_cmp`] (see
+    /// [`select_sorted_pair`]).
+    Pair(&'a [f64], &'a [f64]),
+    /// `base ⊎ (base − removed + added)`: a sorted column pooled with a
+    /// patched copy of itself (see [`select_patched_pair`]).
+    Patched {
+        /// The unpatched column.
+        base: &'a [f64],
+        /// Values the patch removes from its copy, ascending.
+        removed: &'a [f64],
+        /// Values the patch adds to its copy, ascending.
+        added: &'a [f64],
+    },
+}
+
+impl UnionColumn<'_> {
+    /// Number of values in the multiset.
+    pub fn len(&self) -> usize {
+        match *self {
+            UnionColumn::Pair(a, b) => a.len() + b.len(),
+            UnionColumn::Patched {
+                base,
+                removed,
+                added,
+            } => 2 * base.len() + added.len() - removed.len(),
+        }
     }
-    let frac = h - lo as f64;
-    let xlo = select_sorted_pair(a, b, lo);
-    let xhi = select_sorted_pair(a, b, hi);
-    Some(xlo + frac * (xhi - xlo))
+
+    /// Whether the multiset is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Element at ascending rank `k` (0-based, by [`f64::total_cmp`]).
+    pub fn select(&self, k: usize) -> f64 {
+        match *self {
+            UnionColumn::Pair(a, b) => select_sorted_pair(a, b, k),
+            UnionColumn::Patched {
+                base,
+                removed,
+                added,
+            } => select_patched_pair(base, removed, added, k),
+        }
+    }
+
+    /// Type-7 quantile of the multiset — bit-identical to
+    /// [`quantile_of_sorted`] on its materialized sorted merge. `None`
+    /// when empty.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let len = self.len();
+        if len == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let h = q * (len as f64 - 1.0);
+        let lo = h.floor() as usize;
+        let hi = h.ceil() as usize;
+        if lo == hi {
+            return Some(self.select(lo));
+        }
+        let frac = h - lo as f64;
+        let xlo = self.select(lo);
+        let xhi = self.select(hi);
+        Some(xlo + frac * (xhi - xlo))
+    }
 }
 
 /// Quantile of an unsorted slice, skipping NaNs. `None` when no present
